@@ -32,6 +32,10 @@ from .fourier import dft
 # sparse profile path is worthwhile when the support is this small
 _SPARSE_LIMIT = lambda n: max(8, int(np.sqrt(n)))
 
+# the automatic path takes the sparse route only when its error bound is below
+# this, well inside the 1e-8 to which profiles are checked against direct scans
+SPARSE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # fixed difference
@@ -136,6 +140,23 @@ def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
     return out
 
 
+def sparse_error_bound(values: np.ndarray, spectrum: Spectrum) -> float:
+    """Bound on |sparse profile - exact profile| at every d, from the spectrum.
+
+    Let g be f truncated to the support S and e = f - g.  Then
+    Lambda_d(f) - Lambda_d(g) = Lambda_d(e,f,f) + Lambda_d(g,e,f) + Lambda_d(g,g,e),
+    and each term is at most ||e||_2 M^2 by Cauchy-Schwarz, where
+    M = max(||f||_inf, sum_{r in S} |c(r)|) bounds both sup norms.  Parseval
+    gives ||e||_2^2 = sum_{r not in S} |c(r)|^2.  Cost O(n).
+    """
+    mag = np.abs(spectrum.coeffs)
+    kept = np.zeros(len(mag), dtype=bool)
+    kept[spectrum.support] = True
+    dropped = float(np.sqrt(np.sum(mag[~kept] ** 2)))
+    m = max(float(np.abs(values).max()), float(mag[kept].sum()))
+    return 3.0 * dropped * m * m
+
+
 def ap_profile(
     f: DensityFn,
     normalization: str | None = None,
@@ -145,14 +166,17 @@ def ap_profile(
     """Per-difference densities over every admissible d.
 
     Group profiles pick the sparse-spectrum path automatically when the
-    support is small, otherwise the dense per-d scan; ``path`` forces one.
+    support is small and ``sparse_error_bound`` is at most ``SPARSE_TOL``,
+    otherwise the dense per-d scan; ``path`` forces one.
     Interval profiles cover 0 <= d < N/2 in the requested normalization.
     """
     n = f.n
     if f.domain.is_group:
         if path == "auto":
             spec = dft(f)
-            path = "sparse" if len(spec.support) <= _SPARSE_LIMIT(n) else "dense"
+            small = len(spec.support) <= _SPARSE_LIMIT(n)
+            bounded = small and sparse_error_bound(f.values, spec) <= SPARSE_TOL
+            path = "sparse" if bounded else "dense"
         else:
             spec = None
         if path == "sparse":

@@ -176,6 +176,29 @@ def cmd_upper(args) -> int:
     return EXIT_OK if trace.density >= alpha**3 - args.epsilon else EXIT_VERIFY
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _set_indicator(obj: dict) -> DensityFn:
+    """Indicator of a set artifact: residues 0..n-1 of Z_n under ``n``, or
+    members 1..N of the interval [N] under ``N``."""
+    key = "n" if "n" in obj else "N"
+    size = obj.get(key)
+    if not _is_int(size) or size < 1:
+        raise FileFormatError(f"set artifact needs a positive integer 'n' or 'N', got {size!r}")
+    elements = obj["elements"]
+    if not isinstance(elements, list) or not all(_is_int(v) for v in elements):
+        raise FileFormatError("set elements must be a list of integers")
+    lo = 0 if key == "n" else 1
+    bad = next((v for v in elements if not lo <= v < lo + size), None)
+    if bad is not None:
+        raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
+    vals = np.zeros(size)
+    vals[np.asarray(elements, dtype=np.int64) - lo] = 1.0
+    return DensityFn(cyclic(size) if key == "n" else interval(size), vals)
+
+
 def cmd_verify(args) -> int:
     obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
@@ -183,15 +206,7 @@ def cmd_verify(args) -> int:
     if "values" in obj:
         f, _ = fn_from_dict(obj)
     elif "elements" in obj:
-        n = int(obj.get("n") or obj.get("N"))
-        vals = np.zeros(n)
-        el = np.asarray(obj["elements"], dtype=np.int64)
-        if "N" in obj and "n" not in obj:
-            vals[el - 1] = 1.0  # interval sets are 1-based
-            f = DensityFn(interval(n), vals)
-        else:
-            vals[el % n] = 1.0
-            f = DensityFn(cyclic(n), vals)
+        f = _set_indicator(obj)
     else:
         raise FileFormatError("artifact holds neither values nor elements")
     alpha = args.alpha if args.alpha is not None else f.mean()

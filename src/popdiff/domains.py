@@ -42,10 +42,12 @@ OVER_WINDOW = "interval-over-N-2d"
 
 NORMALIZATIONS = (GROUP, OVER_N, OVER_WINDOW)
 
-# |coeff| > SUPPORT_EPS * n counts as a nonzero spectral coefficient; this
-# separates exact zeros of sparse spectra from transform roundoff, whose
-# magnitude grows with n.
-SUPPORT_EPS = 1e-10
+# |coeff| > SUPPORT_EPS counts as a nonzero spectral coefficient.  A function
+# with values in [0,1] has |coeff| <= 1, and the FFT leaves roundoff of order
+# 1e-16 on each coefficient, so this separates the exact zeros of a sparse
+# spectrum from noise at every n.  Coefficients below it are not trusted to be
+# negligible: the sparse profile path bounds what dropping them costs.
+SUPPORT_EPS = 1e-12
 
 _VALUE_SLACK = 1e-9
 
@@ -169,7 +171,7 @@ class Spectrum:
     @property
     def support(self) -> np.ndarray:
         """Frequencies whose coefficient clears the zero threshold."""
-        return np.flatnonzero(np.abs(self.coeffs) > SUPPORT_EPS * self.n)
+        return np.flatnonzero(np.abs(self.coeffs) > SUPPORT_EPS)
 
 
 @dataclass

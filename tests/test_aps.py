@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+import popdiff.domains
 from popdiff.aps import (
+    SPARSE_TOL,
     ap_profile,
     from_coords,
     per_diff_density,
     perdiff_table_dense,
+    perdiff_table_sparse,
+    sparse_error_bound,
     to_coords,
     total_3ap_density,
     tower,
@@ -15,6 +19,7 @@ from popdiff.aps import (
 )
 from popdiff.domains import OVER_N, OVER_WINDOW, DensityFn, cyclic, interval
 from popdiff.errors import DomainError
+from popdiff.fourier import dft, idft
 from popdiff.modelfn import build_model_fn
 
 
@@ -119,6 +124,37 @@ def test_profile_sparse_matches_dense():
         sparse = ap_profile(m.fn, path="sparse").densities
         dense = ap_profile(m.fn, path="dense").densities
         assert np.abs(sparse - dense).max() < 1e-8
+        # the automatic path keeps the model on the sparse route
+        assert sparse_error_bound(m.fn.values, dft(m.fn)) <= SPARSE_TOL
+
+
+def test_profile_auto_near_old_support_threshold():
+    # every nonconstant coefficient sits just under 1e-10 * n, the support
+    # threshold once used, which dropped them all and sent this to the
+    # sparse path with a profile off by about 1e-7
+    n = 20011
+    rng = np.random.default_rng(5)
+    c = np.zeros(n, dtype=np.complex128)
+    c[0] = 0.5
+    r = np.arange(1, (n + 1) // 2)
+    c[r] = 0.999e-10 * n * np.exp(2j * np.pi * rng.uniform(0, 1, len(r)))
+    c[n - r] = np.conj(c[r])
+    f = DensityFn(cyclic(n), idft(c).real)
+    dense = perdiff_table_dense(f.values)
+    assert np.abs(ap_profile(f).densities - dense).max() < 1e-8
+
+
+def test_profile_auto_falls_back_when_bound_fails(monkeypatch):
+    rng = np.random.default_rng(6)
+    f = DensityFn(cyclic(1009), rng.uniform(0, 1, 1009))
+    monkeypatch.setattr(popdiff.domains, "SUPPORT_EPS", 0.02)
+    spec = dft(f)
+    assert len(spec.support) <= 31  # small enough for the sparse route
+    bound = sparse_error_bound(f.values, spec)
+    assert bound > SPARSE_TOL
+    dense = perdiff_table_dense(f.values)
+    assert np.array_equal(ap_profile(f).densities, dense)
+    assert np.abs(perdiff_table_sparse(spec) - dense).max() <= bound
 
 
 def test_profile_constant():

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from popdiff.cli import main
 
@@ -89,6 +90,26 @@ def test_verify_set_artifact(tmp_path):
     code = main(["verify", "--in", f"{tmp_path}/b.set.json", "--bound", "abs",
                  "--epsilon", "0.01"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    [
+        {"elements": [0, 1, 2], "N": 10},  # interval sets are 1-based: 0 is not in [N]
+        {"elements": [1, 2, 11], "N": 10},
+        {"elements": [0, 1, 11], "n": 11},
+        {"elements": [1, 2, 3]},
+        {"elements": [1, 2, 3], "n": 11.5},
+        {"elements": [1, 2, 3], "n": "eleven"},
+        {"elements": [1.5, 2], "N": 10},
+    ],
+)
+def test_verify_malformed_set_artifact(tmp_path, capsys, artifact):
+    path = tmp_path / "s.set.json"
+    path.write_text(json.dumps(artifact))
+    code = main(["verify", "--in", str(path), "--bound", "abs", "--epsilon", "0.01"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_upper_command(tmp_path):

@@ -48,11 +48,11 @@ def test_spectrum_support_threshold():
     n = 101
     c = np.zeros(n, dtype=complex)
     c[0] = 0.3
-    c[5] = 1e-10 * n * 0.5  # below threshold
-    c[7] = 1e-8  # just above at this n
+    c[5] = 1e-13  # roundoff level: below the threshold
+    c[7] = 1e-10  # small but real: kept, at this n and at any other
     s = Spectrum(n, c)
     sup = set(s.support.tolist())
-    assert 0 in sup and 5 not in sup
+    assert sup == {0, 7}
 
 
 def test_function_file_roundtrip(tmp_path):

@@ -34,15 +34,23 @@ def test_direct_matches_naive():
         assert np.abs(got - naive_dft(v)).max() < 1e-12
 
 
-def test_bluestein_matches_direct():
-    from popdiff.fourier import _transform_bluestein, _transform_direct
+def vectorised_naive_dft(values):
+    # the defining sum as a phase-matrix product, exponents reduced mod n
+    n = len(values)
+    x = np.arange(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.complex128)
+    for lo in range(0, n, 256):
+        r = np.arange(lo, min(lo + 256, n), dtype=np.int64)
+        out[lo : lo + len(r)] = np.exp(2j * np.pi * ((r[:, None] * x) % n) / n) @ values
+    return out / n
 
+
+def test_transform_matches_naive():
     rng = np.random.default_rng(1)
-    for n in (4099, 5003):  # primes above the direct cutoff
-        v = rng.uniform(0, 1, n).astype(np.complex128)
-        a = _transform_direct(v, +1)
-        b = _transform_bluestein(v, +1)
-        assert np.abs(a - b).max() < 1e-8 * n
+    # two primes of nearby size and a product-group order 5*101
+    for n in (4093, 4099, 505):
+        v = rng.uniform(0, 1, n)
+        assert np.abs(dft_values(v) - vectorised_naive_dft(v)).max() < 1e-12
 
 
 def test_roundtrip():
