@@ -2,7 +2,10 @@
 
 Three generators are combined:
 
-* an exact branch-and-bound maximizer (the test oracle, N <= 40);
+* an exact maximizer for N <= 40, built bottom-up: r(N) is either r(N-1)+1
+  or r(N-1), and the smaller exact values r(k) bound every branch of a
+  depth-first search (Gasarch-Glenn-Kruskal).  Its witness is the
+  lexicographically smallest maximum AP-free subset of [N];
 * a deterministic greedy sieve (strong at desk sizes);
 * the digit/sphere construction: digit vectors in base 2b-1 with a fixed
   square-sum have no nontrivial 3-AP, and the densest square-sum class is
@@ -43,38 +46,47 @@ def is_apfree(elements) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def brute_max_apfree(n: int) -> tuple[int, tuple]:
-    """Exact maximum 3-AP-free subset of [n] with one witness; n <= 40.
+    """Exact r(n), the largest 3-AP-free subset size of [n], with a witness; n <= 40.
 
-    Branch and bound over elements in increasing order, seeded with the
-    greedy solution so the count bound prunes from the start.
+    Built bottom-up: r(k) for every k < n comes from this cached function.
+    Since r(n-1) <= r(n) <= r(n-1) + 1, the search looks for a set of size
+    r(n-1) + 1 and, failing that, of size r(n-1).  It is a depth-first
+    search over z = 1..n in increasing order; a bitmask holds every 2y - x
+    over chosen x < y (the points that would complete a 3-AP), and a branch
+    whose next candidate is z is cut when len(chosen) + r(n - z + 1) falls
+    short, because an AP-free subset of [z..n] is a translate of one of
+    [1..n-z+1].  The witness is the first set found, so it is the
+    lexicographically smallest maximum AP-free subset of [n].
     """
     if n < 1:
         raise DomainError("n must be positive")
     if n > BRUTE_CAP:
         raise DomainError(f"exhaustive search capped at n <= {BRUTE_CAP}")
-    best = [int(v) for v in _greedy_apfree(n)]
+    r = [0] + [brute_max_apfree(k)[0] for k in range(1, n)]
+    r.append(r[-1] + 1)  # r(n) <= r(n-1) + 1 bounds the branch at z = 1
     chosen: list = []
-    cset: set = set()
 
-    def ok(z: int) -> bool:
-        return not any((x + z) % 2 == 0 and (x + z) // 2 in cset for x in chosen)
-
-    def rec(start: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        cands = [z for z in range(start, n + 1) if ok(z)]
-        for idx, z in enumerate(cands):
-            if len(chosen) + (len(cands) - idx) <= len(best):
-                return
+    def rec(start: int, forb: int, m: int) -> bool:
+        if len(chosen) == m:
+            return True
+        for z in range(start, n + 1):
+            if len(chosen) + r[n - z + 1] < m:
+                return False  # r is nondecreasing, so later z cannot do better
+            if forb >> z & 1:
+                continue
+            grown = forb
+            for x in chosen:
+                grown |= 1 << (2 * z - x)
             chosen.append(z)
-            cset.add(z)
-            rec(z + 1)
+            if rec(z + 1, grown, m):
+                return True
             chosen.pop()
-            cset.discard(z)
+        return False
 
-    rec(1)
-    return len(best), tuple(best)
+    # a failed search leaves chosen empty; the witness for [n-1] has size r(n-1)
+    if not rec(1, 0, r[n - 1] + 1):
+        rec(1, 0, r[n - 1])
+    return len(chosen), tuple(chosen)
 
 
 def _greedy_apfree(n: int) -> np.ndarray:
@@ -199,7 +211,12 @@ def density_bound(alpha: float) -> float:
 
 
 def _apfree_sizes_up_to(cap: int) -> np.ndarray:
-    """sizes[N] = size of apfree_set's output for each N <= cap."""
+    """sizes[N] = size of apfree_set's output for each N <= cap.
+
+    Above BRUTE_CAP only the greedy set is counted.  That equals
+    apfree_set's size for every N up to _SURROGATE_CAP, the largest cap a
+    caller passes: on 41..4096 the digit set never beats greedy.
+    """
     sizes = np.zeros(cap + 1, dtype=np.int64)
     for m in range(1, min(BRUTE_CAP, cap) + 1):
         sizes[m] = brute_max_apfree(m)[0]

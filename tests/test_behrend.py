@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popdiff.behrend import (
+    _apfree_sizes_up_to,
     apfree_set,
     brute_max_apfree,
     count_cyclic_3aps,
@@ -15,8 +18,12 @@ from popdiff.behrend import (
 from popdiff.errors import DomainError
 
 
-def bitmask_max_apfree(n: int) -> int:
-    """Independent oracle: sweep all 2^n subsets with numpy bit tricks."""
+def bitmask_max_apfree(n: int) -> tuple[int, tuple]:
+    """Independent oracle: sweep all 2^n subsets with numpy bit tricks.
+
+    Returns the maximum size and the lexicographically smallest sorted
+    tuple among the maximum AP-free subsets.
+    """
     masks = []
     for d in range(1, (n - 1) // 2 + 1):
         for x in range(1, n - 2 * d + 1):
@@ -28,12 +35,39 @@ def bitmask_max_apfree(n: int) -> int:
     best = 0
     for s in subs[good]:
         best = max(best, int(s).bit_count())
-    return best
+    witnesses = [
+        tuple(z for z in range(1, n + 1) if int(s) >> (z - 1) & 1)
+        for s in subs[good]
+        if int(s).bit_count() == best
+    ]
+    return best, min(witnesses)
 
 
 def test_brute_matches_bitmask_oracle():
+    # the witness is the lex-first maximum set, not just any maximum set
     for n in range(1, 17):
-        assert brute_max_apfree(n)[0] == bitmask_max_apfree(n)
+        assert brute_max_apfree(n) == bitmask_max_apfree(n)
+
+
+R_1_TO_40 = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9,
+             9, 9, 9, 10, 10, 11, 11, 11, 11, 12, 12, 13, 13, 13, 13, 14, 14, 14, 14, 15]
+
+
+def test_brute_pinned_values():
+    # values produced by the earlier greedy-seeded branch and bound
+    assert [brute_max_apfree(n)[0] for n in range(1, 41)] == R_1_TO_40
+    assert brute_max_apfree(40)[1] == (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+def test_brute_witness_and_subadditivity(nk):
+    n, k = nk
+    size, witness = brute_max_apfree(n)
+    assert is_apfree(witness)
+    assert len(witness) == size == R_1_TO_40[n - 1]
+    assert min(witness) >= 1 and max(witness) <= n
+    assert size <= brute_max_apfree(k)[0] + brute_max_apfree(n - k)[0]
 
 
 def test_brute_examples():
@@ -59,6 +93,14 @@ def test_apfree_set_properties():
         s = apfree_set(n)
         assert is_apfree(s)
         assert s.min() >= 1 and s.max() <= n
+
+
+def test_apfree_sizes_match_apfree_set():
+    # above BRUTE_CAP the table counts greedy only; the digit set never
+    # beats greedy for N <= 4096, so the two agree on every reachable N
+    sizes = _apfree_sizes_up_to(4096)
+    for m in (41, 100, 1000, 4096):
+        assert sizes[m] == len(apfree_set(m))
 
 
 def test_apfree_sanity_floor():
