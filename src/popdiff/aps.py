@@ -1,11 +1,12 @@
 """3-AP densities with fixed and varying common difference, plus tower and
 Chinese-remainder coordinate helpers.
 
-Density conventions (d=0 is always admissible and included in profiles, so
-that the mean of a group profile over all d equals the total density):
+Every density is a normalized S(d) = sum_x v[x] v[x+d] v[x+2d] from
+``ap_sums`` (d=0 is always admissible and included in profiles, so that the
+mean of a group profile over all d equals the total density):
 
-* group:                E_{x in Z_n}[f(x) f(x+d) f(x+2d)]
-* interval-over-N:      sum_{x in [N-2d]} f(x) f(x+d) f(x+2d) / N
+* group:                S(d) / n, indices taken mod n
+* interval-over-N:      S(d) / N, x running over [N-2d]
 * interval-over-N-2d:   the same sum divided by N-2d
 
 The over-(N-2d) value always dominates the over-N value (same numerator,
@@ -13,8 +14,6 @@ smaller denominator).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,19 +35,64 @@ _SPARSE_LIMIT = lambda n: max(8, int(np.sqrt(n)))
 # this, well inside the 1e-8 to which profiles are checked against direct scans
 SPARSE_TOL = 1e-9
 
+# support pairs enumerated per numpy pass, which bounds the working memory
+_PAIR_BLOCK = 1 << 18
+
+# an indicator's full table counts support pairs when |supp| <= this fraction
+# of n: pairs cost |supp|^2 and windows n^2, breaking even near 0.22-0.28 n
+_PAIR_CROSSOVER = 0.2
+
 
 # ---------------------------------------------------------------------------
-# fixed difference
+# the 3-AP correlation kernel and fixed differences
 
 
-def _group_per_diff(v: np.ndarray, d: int) -> float:
-    return float(np.mean(v * np.roll(v, -d) * np.roll(v, -2 * d)))
+def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
+    """S(d) = sum_x v[x] v[x+d] v[x+2d] for each requested d.
 
-
-def _interval_window_sum(v: np.ndarray, d: int) -> float:
+    ``cyclic`` reads v on Z_n (d mod n, default every d); otherwise v lives on
+    [N], x runs over [N-2d] and d lies in 0..(N-1)//2 (the default).  Each d
+    is one window pass, so its value does not depend on the other d's.  The
+    full table of a sparse {0,1} vector comes instead from exact counts over
+    support pairs, equal to the window sums bit for bit.
+    """
+    v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    w = n - 2 * d
-    return float(np.dot(v[:w] * v[d : d + w], v[2 * d :]))
+    dmax = n - 1 if cyclic else (n - 1) // 2
+    if diffs is None and np.count_nonzero(v) <= _PAIR_CROSSOVER * n and np.all((v == 0) | (v == 1)):
+        return _pair_sums(v, cyclic)
+    ds = np.arange(dmax + 1) if diffs is None else np.asarray(diffs, dtype=np.int64)
+    if cyclic:
+        ds = ds % n
+    elif ds.size and (ds.min() < 0 or ds.max() > dmax):
+        raise DomainError(f"difference out of range 0..{dmax} for interval of length {n}")
+    t = np.concatenate([v, v, v]) if cyclic else v
+    out = np.empty(len(ds))
+    for i, d in enumerate(ds.tolist()):
+        w = n if cyclic else n - 2 * d
+        out[i] = np.einsum("i,i,i->", t[:w], t[d : d + w], t[2 * d : 2 * d + w])
+    return out
+
+
+def _pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
+    """Full S table of a {0,1} vector by counting support pairs (x, y = x+d)
+    whose continuation 2y - x is in the support; exact integer counts."""
+    n = len(v)
+    a = np.flatnonzero(v)
+    size = n if cyclic else (n - 1) // 2 + 1
+    counts = np.zeros(size, dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // max(a.size, 1))
+    for lo in range(0, a.size, step):
+        y = a if cyclic else a[lo:]  # on an interval only y >= x counts
+        d = y[None, :] - a[lo : lo + step, None]
+        z = y[None, :] + d  # 2y - x
+        if cyclic:
+            d, z = d % n, z % n
+        else:
+            keep = (d >= 0) & (z < n)
+            d, z = d[keep], z[keep]
+        counts += np.bincount(d[v[z] == 1], minlength=size)
+    return counts.astype(np.float64)
 
 
 def per_diff_density(f: DensityFn, d: int, normalization: str | None = None) -> float:
@@ -57,12 +101,10 @@ def per_diff_density(f: DensityFn, d: int, normalization: str | None = None) -> 
     if f.domain.is_group:
         if normalization not in (None, GROUP):
             raise DomainError("group domains use the group normalization")
-        return _group_per_diff(f.values, d % n)
+        return float(ap_sums(f.values, [d])[0]) / n
     if normalization is None or normalization == GROUP:
         raise DomainError("interval densities need an interval normalization")
-    if not (d == 0 or 0 < d < n / 2):
-        raise DomainError(f"difference d={d} out of range for interval of length {n}")
-    s = _interval_window_sum(f.values, d)
+    s = float(ap_sums(f.values, [d], cyclic=False)[0])
     if normalization == OVER_N:
         return s / n
     if normalization == OVER_WINDOW:
@@ -77,14 +119,14 @@ def per_diff_density(f: DensityFn, d: int, normalization: str | None = None) -> 
 def total_3ap_density(f: DensityFn, method: str = "spectral") -> float:
     """E_{x,d}[f(x)f(x+d)f(x+2d)] over a group, d=0 included.
 
-    ``spectral`` evaluates sum_r fhat(r)^2 fhat(-2r); ``direct`` averages the
-    per-difference densities and is kept as the independent check.
+    ``spectral`` evaluates sum_r fhat(r)^2 fhat(-2r); ``direct`` sums the
+    per-difference table and is kept as the independent check.
     """
     if not f.domain.is_group:
         raise DomainError("total 3-AP density is a group quantity")
     n = f.n
     if method == "direct":
-        return float(np.mean([_group_per_diff(f.values, d) for d in range(n)]))
+        return float(ap_sums(f.values).sum()) / n**2
     if method != "spectral":
         raise DomainError(f"unknown method {method!r}")
     c = dft(f).coeffs
@@ -96,48 +138,32 @@ def total_3ap_density(f: DensityFn, method: str = "spectral") -> float:
 # full profiles
 
 
-def perdiff_table_dense(values: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Group per-difference densities for every d, by direct O(n) scans."""
-    v = np.asarray(values, dtype=np.float64)
-    n = len(v)
-    out = np.empty(n)
-
-    def fill(lo, hi):
-        for d in range(lo, hi):
-            out[d] = _group_per_diff(v, d)
-
-    if threads <= 1 or n < 4096:
-        fill(0, n)
-    else:
-        step = -(-n // threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda lo: fill(lo, min(lo + step, n)), range(0, n, step)))
-    return out
-
-
 def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
     """Group per-difference densities from a sparse spectrum.
 
     With support S, density(d) = Re sum over (r1,r2,r3) in S^3, r1+r2+r3=0, of
-    c(r1)c(r2)c(r3) e(-(r2+2r3) d/n); cost O(|S|^2 + #freqs * n).
+    c(r1)c(r2)c(r3) e(-(r2+2r3) d/n): the amplitudes are gathered per
+    frequency k = r2+2r3 over support pairs (r1, r2), and one FFT evaluates
+    the sum at every d.  Cost O(|S|^2 + n log n).
     """
     n = spectrum.n
     c = spectrum.coeffs
     supp = spectrum.support
-    sset = set(int(r) for r in supp)
-    amps: dict[int, complex] = {}
-    for r1 in supp:
-        for r2 in supp:
-            r3 = int(-(r1 + r2)) % n
-            if r3 not in sset:
-                continue
-            k = int(r2 + 2 * r3) % n
-            amps[k] = amps.get(k, 0j) + c[r1] * c[r2] * c[r3]
-    d = np.arange(n, dtype=np.int64)
-    out = np.zeros(n)
-    for k, amp in amps.items():
-        out += (amp * np.exp((-2j * np.pi / n) * ((k * d) % n))).real
-    return out
+    member = np.zeros(n, dtype=bool)
+    member[supp] = True
+    amp = np.zeros(n, dtype=np.complex128)
+    step = max(1, _PAIR_BLOCK // max(supp.size, 1))
+    for lo in range(0, supp.size, step):
+        block = supp[lo : lo + step]
+        r1 = np.repeat(block, supp.size)
+        r2 = np.tile(supp, block.size)
+        r3 = (-(r1 + r2)) % n
+        hit = member[r3]
+        r1, r2, r3 = r1[hit], r2[hit], r3[hit]
+        w = c[r1] * c[r2] * c[r3]
+        k = (r2 + 2 * r3) % n
+        amp += np.bincount(k, w.real, n) + 1j * np.bincount(k, w.imag, n)
+    return np.fft.fft(amp).real
 
 
 def sparse_error_bound(values: np.ndarray, spectrum: Spectrum) -> float:
@@ -157,17 +183,12 @@ def sparse_error_bound(values: np.ndarray, spectrum: Spectrum) -> float:
     return 3.0 * dropped * m * m
 
 
-def ap_profile(
-    f: DensityFn,
-    normalization: str | None = None,
-    path: str = "auto",
-    threads: int = 1,
-) -> APProfile:
+def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto") -> APProfile:
     """Per-difference densities over every admissible d.
 
     Group profiles pick the sparse-spectrum path automatically when the
     support is small and ``sparse_error_bound`` is at most ``SPARSE_TOL``,
-    otherwise the dense per-d scan; ``path`` forces one.
+    otherwise ``ap_sums``; ``path`` forces one (the tests compare the two).
     Interval profiles cover 0 <= d < N/2 in the requested normalization.
     """
     n = f.n
@@ -182,18 +203,14 @@ def ap_profile(
         if path == "sparse":
             dens = perdiff_table_sparse(spec if spec is not None else dft(f))
         elif path == "dense":
-            dens = perdiff_table_dense(f.values, threads=threads)
+            dens = ap_sums(f.values) / n
         else:
             raise DomainError(f"unknown profile path {path!r}")
         return APProfile(dens, GROUP, n)
     if normalization not in (OVER_N, OVER_WINDOW):
         raise DomainError("interval profiles need an interval normalization")
-    dmax = (n - 1) // 2
-    dens = np.empty(dmax + 1)
-    for d in range(dmax + 1):
-        s = _interval_window_sum(f.values, d)
-        dens[d] = s / n if normalization == OVER_N else s / (n - 2 * d)
-    return APProfile(dens, normalization, n)
+    w = n if normalization == OVER_N else n - 2 * np.arange((n - 1) // 2 + 1)
+    return APProfile(ap_sums(f.values, cyclic=False) / w, normalization, n)
 
 
 # ---------------------------------------------------------------------------

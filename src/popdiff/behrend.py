@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aps import ap_sums
 from .domains import DensityFn, cyclic
 from .errors import DomainError, InfeasibleError
 
@@ -160,29 +161,6 @@ def apfree_set(n: int) -> np.ndarray:
 # low-AP subsets of Z_n
 
 
-def count_cyclic_3aps(elements, n: int) -> int:
-    """#{(x,d) in Z_n^2 : x, x+d, x+2d all in the set}, d = 0 included.
-
-    Uses the bijection (x,d) <-> (x, z=x+2d) valid for odd n: count pairs
-    (x,z) of set elements whose midpoint (x+z)/2 mod n is again an element.
-    """
-    if n % 2 == 0:
-        raise DomainError("cyclic 3-AP counting needs odd n")
-    el = np.asarray(sorted(int(v) % n for v in elements), dtype=np.int64)
-    if el.size == 0:
-        return 0
-    member = np.zeros(n, dtype=bool)
-    member[el] = True
-    inv2 = pow(2, -1, n)
-    total = 0
-    chunk = max(1, (1 << 22) // max(el.size, 1))
-    for lo in range(0, el.size, chunk):
-        block = el[lo : lo + chunk]
-        mids = ((block[:, None] + el[None, :]) * inv2) % n
-        total += int(member[mids].sum())
-    return total
-
-
 @dataclass
 class LowAPSubset:
     n: int
@@ -258,7 +236,7 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
         else:
             elems = _block_subset(a_set, n, n_a, alpha)
         if elems is not None and len(elems) >= alpha * n:
-            ap = count_cyclic_3aps(elems, n) / n**2
+            ap = int(ap_sums(np.bincount(elems, minlength=n)).sum()) / n**2
             return LowAPSubset(
                 n=n,
                 elements=np.asarray(sorted(elems), dtype=np.int64),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import per_diff_density
+from .aps import ap_sums
 from .domains import DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
 from .fourier import convolve, dft, dft_values
@@ -173,15 +173,13 @@ def smooth(fvals: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 
 
 def lambda_weighted(fvals: np.ndarray, phi: np.ndarray) -> float:
-    """E_{x,d}[f(x) f(x+d) f(x+2d) phi(d)] by direct sum over supp(phi)."""
+    """E_{x,d}[f(x) f(x+d) f(x+2d) phi(d)] = sum_{s in supp phi} phi(s) S(s) / n^2."""
     f = np.asarray(fvals, dtype=np.float64)
     n = len(f)
     if len(phi) != n:
         raise DomainError("weight and function sizes differ")
-    total = 0.0
-    for d in np.flatnonzero(np.abs(phi) > 1e-15):
-        total += phi[d] * float(np.mean(f * np.roll(f, -int(d)) * np.roll(f, -2 * int(d))))
-    return total / n
+    s = np.flatnonzero(np.abs(phi) > 1e-15)
+    return float(np.dot(phi[s], ap_sums(f, s))) / n**2
 
 
 def lambda_weighted_spectral(fvals: np.ndarray, phi: np.ndarray) -> float:
@@ -200,7 +198,9 @@ def lambda_weighted_spectral(fvals: np.ndarray, phi: np.ndarray) -> float:
 
 def sumset(elements: np.ndarray, n: int) -> np.ndarray:
     a = np.asarray(elements, dtype=np.int64)
-    return np.unique((a[:, None] + a[None, :]) % n)
+    sums = a[:, None] + a[None, :]
+    sums %= n
+    return np.flatnonzero(np.bincount(sums.ravel(), minlength=n))
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +486,9 @@ def upper_search(
     lam = lambda_weighted(fv, phi)
 
     candidates = sumset(b_final.elements, n)
+    nonzero = candidates[candidates != 0]
     best_d, best_val = None, -1.0
-    for d in candidates:
-        d = int(d)
-        if d == 0:
-            continue
-        val = per_diff_density(f, d)
+    for d, val in zip(nonzero.tolist(), (ap_sums(fv, nonzero) / n).tolist()):
         if val > best_val + 1e-15:
             best_d, best_val = d, val
     if best_d is None:

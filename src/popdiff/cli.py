@@ -76,7 +76,7 @@ def _normalization(f: DensityFn, flag: str | None) -> str | None:
 def cmd_scan(args) -> int:
     f, _ = load_fn(args.infile)
     norm = _normalization(f, args.norm)
-    prof = ap_profile(f, normalization=norm, path=args.path, threads=args.threads)
+    prof = ap_profile(f, normalization=norm)
     prof.to_csv(f"{args.out}.csv")
     dens = prof.densities
     nonzero = dens[1:]
@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
     else:
         raise FileFormatError(f"unknown bound spec {args.bound!r}")
     if f.domain.is_group:
-        prof = ap_profile(f, threads=args.threads)
+        prof = ap_profile(f)
         worst = float(prof.densities[1:].max())
         worst_d = int(prof.densities[1:].argmax()) + 1
         ok = worst <= target + 1e-12
@@ -249,14 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=("strict", "desk"), default="desk")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("scan", help="per-difference density profile of a function file")
     common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--norm", choices=("over-n", "over-window"), default=None)
-    p.add_argument("--path", choices=("auto", "dense", "sparse"), default="auto")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("construct", help="run a construction and certify it")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import perdiff_table_dense, perdiff_table_sparse
+from .aps import ap_sums, perdiff_table_sparse
 from .domains import DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .modelfn import build_model_fn, model_support
@@ -219,7 +219,7 @@ def build_level1(alpha: float, m1: int) -> LevelState:
         values=values,
         alpha=alpha,
         alpha_prime=ap,
-        density_table=perdiff_table_dense(values),
+        density_table=ap_sums(values) / m1,
     )
 
 

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import popdiff.domains
 from popdiff.aps import (
     SPARSE_TOL,
+    _pair_sums,
     ap_profile,
+    ap_sums,
     from_coords,
     per_diff_density,
-    perdiff_table_dense,
     perdiff_table_sparse,
     sparse_error_bound,
     to_coords,
@@ -140,7 +143,7 @@ def test_profile_auto_near_old_support_threshold():
     c[r] = 0.999e-10 * n * np.exp(2j * np.pi * rng.uniform(0, 1, len(r)))
     c[n - r] = np.conj(c[r])
     f = DensityFn(cyclic(n), idft(c).real)
-    dense = perdiff_table_dense(f.values)
+    dense = ap_sums(f.values) / n
     assert np.abs(ap_profile(f).densities - dense).max() < 1e-8
 
 
@@ -152,7 +155,7 @@ def test_profile_auto_falls_back_when_bound_fails(monkeypatch):
     assert len(spec.support) <= 31  # small enough for the sparse route
     bound = sparse_error_bound(f.values, spec)
     assert bound > SPARSE_TOL
-    dense = perdiff_table_dense(f.values)
+    dense = ap_sums(f.values) / 1009
     assert np.array_equal(ap_profile(f).densities, dense)
     assert np.abs(perdiff_table_sparse(spec) - dense).max() <= bound
 
@@ -163,12 +166,75 @@ def test_profile_constant():
     assert np.abs(prof.densities - 0.3**3).max() < 1e-12
 
 
-def test_dense_threads_deterministic():
-    rng = np.random.default_rng(3)
-    v = rng.uniform(0, 1, 5001)
-    one = perdiff_table_dense(v, threads=1)
-    four = perdiff_table_dense(v, threads=4)
-    assert np.array_equal(one, four)
+def brute_sums(values, cyclic):
+    """S(d) for every admissible d by the triple loop over (d, x)."""
+    n = len(values)
+    if cyclic:
+        return [
+            sum(values[x] * values[(x + d) % n] * values[(x + 2 * d) % n] for x in range(n))
+            for d in range(n)
+        ]
+    return [
+        sum(values[x] * values[x + d] * values[x + 2 * d] for x in range(n - 2 * d))
+        for d in range((n - 1) // 2 + 1)
+    ]
+
+
+unit_values = st.lists(st.floats(0, 1), min_size=1, max_size=40)
+indicators = st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=120)
+
+
+@given(unit_values, st.booleans())
+def test_dense_windows_match_triple_loop(values, cyclic):
+    n = len(values)
+    got = ap_sums(values, np.arange(n if cyclic else (n - 1) // 2 + 1), cyclic=cyclic)
+    assert np.allclose(got, brute_sums(values, cyclic), rtol=0, atol=1e-12)
+
+
+@given(indicators, st.booleans())
+def test_pair_backend_matches_dense_bitwise(values, cyclic):
+    v = np.asarray(values)
+    dense = ap_sums(v, np.arange(len(v) if cyclic else (len(v) - 1) // 2 + 1), cyclic=cyclic)
+    pairs = _pair_sums(v, cyclic)
+    assert np.array_equal(pairs, dense)
+    assert pairs.tolist() == brute_sums(values, cyclic)
+    assert np.array_equal(ap_sums(v, cyclic=cyclic), dense)
+
+
+@given(unit_values, st.booleans(), st.data())
+def test_batch_matches_single_bitwise(values, cyclic, data):
+    n = len(values)
+    dmax = n - 1 if cyclic else (n - 1) // 2
+    ds = data.draw(st.lists(st.integers(0, dmax), min_size=1, max_size=12))
+    batch = ap_sums(values, ds, cyclic=cyclic)
+    for d, got in zip(ds, batch):
+        assert got == ap_sums(values, [d], cyclic=cyclic)[0]
+
+
+@given(
+    st.integers(2, 30).map(lambda k: 2 * k + 1),
+    st.lists(st.integers(1, 1 << 30), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_spectral_backend_within_error_bound(n, freqs, seed):
+    # a few large conjugate-symmetric coefficients plus small ones that fall
+    # below a coarse support threshold, so the truncation error is real
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n, dtype=np.complex128)
+    r = np.arange(1, (n + 1) // 2)
+    c[r] = 1e-4 * rng.uniform(-1, 1, len(r))
+    big = np.array(sorted({f % n for f in freqs} - {0}), dtype=np.int64)
+    c[big] = 0.05 * np.exp(2j * np.pi * rng.uniform(0, 1, len(big)))
+    c[n - r] = np.conj(c[r])
+    c[0] = 0.5
+    f = DensityFn(cyclic(n), idft(c).real)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popdiff.domains, "SUPPORT_EPS", 1e-3)
+        spec = dft(f)
+        bound = sparse_error_bound(f.values, spec)
+        sparse = perdiff_table_sparse(spec)
+    exact = np.asarray(brute_sums(f.values.tolist(), True)) / n
+    assert np.abs(sparse - exact).max() <= bound + 1e-12
 
 
 def test_tower():

@@ -20,6 +20,7 @@ from popdiff.bohr import (
     schur_gap,
     smooth,
     strict_schedule,
+    sumset,
     upper_search,
 )
 from popdiff.domains import DensityFn, cyclic
@@ -117,6 +118,15 @@ def test_lambda_weighted_point_mass_and_spectral():
     b = bohr_set(101, {3}, 0.15)
     phi = phi_measure(b)
     assert abs(lambda_weighted(f.values, phi) - lambda_weighted_spectral(f.values, phi)) < 1e-8
+
+
+def test_sumset_matches_unique_reference():
+    rng = np.random.default_rng(13)
+    for n in (1, 7, 101, 1009):
+        for size in sorted({1, min(2, n), max(1, n // 3), n}):
+            a = rng.choice(n, size=size, replace=False)
+            ref = np.unique((a[:, None] + a[None, :]) % n)
+            assert np.array_equal(sumset(a, n), ref)
 
 
 def test_schur():

@@ -36,6 +36,22 @@ def test_scan_constant_rows(tmp_path):
     assert all(abs(float(r.split(",")[1]) - 0.3**3) < 1e-12 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--in", "g.fn.json", "--out", "s", "--threads", "2"],
+        ["scan", "--in", "g.fn.json", "--out", "s", "--path", "sparse"],
+        ["construct", "--kind", "model", "--out", "g", "--threads", "2"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "0.05", "--out", "t", "--threads", "2"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--threads", "2"],
+    ],
+)
+def test_removed_options_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_construct_behrend(tmp_path):
     out = tmp_path / "b"
     assert main(["construct", "--kind", "behrend", "--n", "27", "--out", str(out)]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from popdiff.aps import per_diff_density, perdiff_table_sparse
 from popdiff.behrend import low_ap_density_subset, scaled_indicator
@@ -198,6 +200,36 @@ def test_scan_matches_per_diff():
     dens = [per_diff_density(f, d, OVER_WINDOW) for d in range(1, (n - 1) // 2 + 1)]
     assert abs(worst - max(dens)) < 1e-12
     assert worst_d == int(np.argmax(dens)) + 1
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_scan_edge_cases(early_exit):
+    # N <= 2 admits no difference; an all-zero indicator has density 0 everywhere
+    for n in (0, 1, 2):
+        assert scan_interval_fn(np.zeros(n), 0.01, early_exit) == (0, -1.0, True)
+    assert scan_interval_fn(np.zeros(101), 0.01, early_exit) == (1, 0.0, True)
+    assert scan_interval_fn(np.zeros(101), -0.01, early_exit) == (1, 0.0, False)
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=150), st.floats(0, 0.6))
+def test_scan_matches_per_diff_loop(values, target):
+    # early_exit (dense windows in doubling blocks) stops at the first
+    # violating d; the full scan (support pairs for a sparse indicator)
+    # reports the first maximiser; both against a loop over d
+    n = len(values)
+    dens = []
+    for d in range(1, (n - 1) // 2 + 1):
+        count = sum(values[x] * values[x + d] * values[x + 2 * d] for x in range(n - 2 * d))
+        dens.append(count / (n - 2 * d))
+    k = int(np.argmax(dens))
+    first_bad = next((d for d, v in enumerate(dens, 1) if v > target + 1e-12), None)
+    assert scan_interval_fn(values, target) == (k + 1, dens[k], first_bad is None)
+    if first_bad is None:
+        assert scan_interval_fn(values, target, early_exit=True) == (k + 1, dens[k], True)
+    else:
+        assert scan_interval_fn(values, target, early_exit=True) == (
+            first_bad, dens[first_bad - 1], False
+        )
 
 
 def test_sample_set_mechanics():
