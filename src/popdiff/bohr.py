@@ -483,13 +483,13 @@ def upper_search(
             f"Bohr set collapsed to the origin at level {chosen}", level=chosen
         )
     phi = phi_measure(b_final)
-    lam = lambda_weighted(fv, phi)
+    candidates = sumset(b_final.elements, n)  # supp phi = B+B
+    sums = ap_sums(fv, candidates)
+    lam = float(np.dot(phi[candidates], sums)) / n**2
 
-    candidates = sumset(b_final.elements, n)
-    nonzero = candidates[candidates != 0]
     best_d, best_val = None, -1.0
-    for d, val in zip(nonzero.tolist(), (ap_sums(fv, nonzero) / n).tolist()):
-        if val > best_val + 1e-15:
+    for d, val in zip(candidates.tolist(), (sums / n).tolist()):
+        if d != 0 and val > best_val + 1e-15:
             best_d, best_val = d, val
     if best_d is None:
         raise DegenerateBohrError("no nonzero difference in supp(phi)", level=chosen)

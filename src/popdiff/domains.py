@@ -65,11 +65,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def primes_in(lo: int, hi: int) -> list:
-    """Primes p with lo <= p <= hi (inclusive), by trial division."""
-    return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
-
-
 @dataclass(frozen=True)
 class DomainDesc:
     kind: str
@@ -149,10 +144,6 @@ class DensityFn:
 
     def mean(self) -> float:
         return float(self.values.mean())
-
-
-def density_fn(domain: DomainDesc, values) -> DensityFn:
-    return DensityFn(domain, values)
 
 
 @dataclass

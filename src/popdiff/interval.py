@@ -194,6 +194,12 @@ def step1_step2_tile(params: IntervalParams, g: DensityFn) -> DensityFn:
 # step 3: overlay
 
 
+def _common_value(g: DensityFn) -> float:
+    """The most frequent value of g, rounded to 12 decimals."""
+    vals, counts = np.unique(np.round(g.values, 12), return_counts=True)
+    return float(vals[counts.argmax()])
+
+
 @dataclass
 class OverlayPlan:
     alpha_star: float
@@ -207,8 +213,7 @@ def make_overlay_plan(
     params: IntervalParams, g: DensityFn, rng: np.random.Generator
 ) -> OverlayPlan:
     """Identify the common value alpha* and draw affine maps per class."""
-    vals, counts = np.unique(np.round(g.values, 12), return_counts=True)
-    alpha_star = float(vals[counts.argmax()])
+    alpha_star = _common_value(g)
     t_classes = np.flatnonzero(np.abs(g.values - alpha_star) <= 1e-9)
     q, p = params.q, params.p
     a = np.zeros(q, dtype=np.int64)
@@ -341,7 +346,7 @@ def construct_interval_fn(
             prod_params, seed=seed + 7919 * p_try, max_retries_per_level=product_level_retries
         )
         f2 = step1_step2_tile(params, g_fn)
-        x_set = low_ap_density_subset(params.p, min(_xi_alpha(params, g_fn), params.alpha0))
+        x_set = low_ap_density_subset(params.p, min(_common_value(g_fn), params.alpha0))
         for o_try in range(max_overlay_retries):
             overlay_used += 1
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, p_try, o_try]))
@@ -385,17 +390,15 @@ def construct_interval_fn(
     )
 
 
-def _xi_alpha(params: IntervalParams, g_fn: DensityFn) -> float:
-    vals, counts = np.unique(np.round(g_fn.values, 12), return_counts=True)
-    return float(vals[counts.argmax()])
-
-
 # ---------------------------------------------------------------------------
 # set sampling
 
 
 @dataclass
 class SampleCert:
+    """Outcome of one sampling attempt; worst_d is the first d attaining the
+    largest over-(N-2d) density, reported whether or not the sample passed."""
+
     seed: int
     attempts: int
     size: int
@@ -451,7 +454,7 @@ def sample_set(
         indicator = np.zeros(n)
         indicator[members - 1] = 1.0
         size_ok = len(members) >= alpha * n
-        worst_d, worst, ok = scan_interval_fn(indicator, target, early_exit=True)
+        worst_d, worst, ok = scan_interval_fn(indicator, target)
         cert = SampleCert(
             seed=seed,
             attempts=attempt,

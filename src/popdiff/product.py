@@ -8,31 +8,30 @@ every coset in a chosen set M_{i-1} of alpha'-valued points with a randomly
 reparametrized model profile g_{alpha'}(a_w y + b_w).
 
 Verification never appeals to the probabilistic argument.  The verifier
-computes the density of 3-APs for EVERY nonzero difference d of Q_i exactly,
-using the product structure:
-
-* differences with d_{[i-1]} = 0 reduce to per-difference densities of the
-  model profile along modified fibers (a 19-term trigonometric closed form
-  evaluated on all of Z_{m_i});
-* differences with d' = d_{[i-1]} != 0 factor through the coset triple
-  (w, w+d', w+2d').  When every dilation triple involved is smooth for the
-  model support, the fiber average equals the level-(i-1) product exactly,
-  for every lift of d'; the finitely many non-smooth triples contribute
-  explicit trigonometric ripples in d_i which are evaluated on all of Z_{m_i}.
+computes the density of 3-APs for EVERY difference d of Q_i exactly, using
+the product structure.  Write d = (d', e) with d' = d mod n_{i-1} and
+e = d mod m_i.  The density at d is the level-(i-1) density at d' plus the
+nonconstant Fourier terms of the fibers over the coset triples
+(w, w+d', w+2d'): one term for each nonzero triple of frequencies, one per
+fiber and summing to zero, oscillating in e.  Each fiber has at most five
+frequencies (the model support, dilated by a_w), and a triple whose
+dilations are smooth for the model support has no such term, so every lift
+of a base difference whose triples are all smooth carries exactly the
+level-(i-1) density.  The terms of each d' are binned by frequency and one
+FFT evaluates them at every lift e; d' = 0 is no special case.
 
 The assembled table is exact to roundoff and is cross-checked against brute
-force on small groups in the test suite.
+force in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import ap_sums, perdiff_table_sparse
+from .aps import ap_sums
 from .domains import DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .modelfn import build_model_fn, model_support
@@ -286,100 +285,53 @@ def random_modify_level(
         mu_requested=mu_next,
         mu_effective=want / n_prev,
     )
-    new.density_table = _assemble_density_table(new)
+    new.density_table = _assemble_density_table(new)[w_of, y_of]
     return new
 
 
-def _model_lambda_table(alpha_prime: float, m: int) -> np.ndarray:
-    """Per-difference densities of the model profile on Z_m, all m at once."""
-    g = build_model_fn(alpha_prime, m)
-    return perdiff_table_sparse(g.spectrum)
-
-
-def _ghat_map(alpha_prime: float, m: int) -> dict:
-    out = {0: complex(alpha_prime)}
-    for r in (1, 2, m - 2, m - 1):
-        out[r] = complex(-alpha_prime / 4)
-    return out
-
-
 def _assemble_density_table(state: LevelState) -> np.ndarray:
-    """Exact per-difference densities for every d in Q_i (see module docstring)."""
+    """Exact per-difference densities of Q_i (see module docstring), as an
+    (n_{i-1}, m_i) array whose entry (d', e) is the density at the d with
+    d' = d mod n_{i-1} and e = d mod m_i.
+
+    Expand each fiber as F_w(y) = sum_r c[w, r] e(-r y / m_i).  Then
+    table[d] = base[d'] + (1/n_{i-1}) Re sum_w sum c[w, r0] c[w+d', r1]
+    c[w+2d', r2] e(-(r1 + 2 r2) e / m_i) over r0 + r1 + r2 = 0, (r0, r1) != 0,
+    with base the level-(i-1) table.  The amplitudes of each d' are binned
+    by k = r1 + 2 r2, and one FFT of the bins evaluates every lift e.
+    """
     prev = state.parent
     n_prev = prev.n
     m = state.factors[-1]
-    n_new = n_prev * m
-    ap = state.alpha_prime
+    supp = np.array(model_support(m), dtype=np.int64)
+    ghat = build_model_fn(state.alpha_prime, m).spectrum.coeffs[supp]
 
-    lam = _model_lambda_table(ap, m)
-    ghat = _ghat_map(ap, m)
-    supp = model_support(m)
+    # fiber w has coefficient val[w, j] at frequency freq[w, j]: an unmodified
+    # fiber is the constant prev.values[w], a modified one g(a_w y + b_w)
+    mod = np.flatnonzero(state.modified)
+    freq = np.zeros((n_prev, supp.size), dtype=np.int64)
+    val = np.zeros((n_prev, supp.size), dtype=np.complex128)
+    val[:, 0] = prev.values
+    freq[mod] = (state.coset_a[mod, None] * supp) % m
+    val[mod] = ghat * np.exp((-2j * np.pi / m) * ((state.coset_b[mod, None] * supp) % m))
+    coef = np.zeros((n_prev, m), dtype=np.complex128)
+    coef[:, 0] = prev.values
+    coef[mod[:, None], freq[mod]] = val[mod]
 
-    modified = state.modified
-    prev_vals = prev.values
-    const_cube = float(np.sum(prev_vals[~modified] ** 3))
-
-    # differences with d_{[i-1]} = 0: fiber-diagonal densities as a function of d_i
-    diag = np.full(m, const_cube)
-    e = np.arange(m, dtype=np.int64)
-    for w in np.flatnonzero(modified):
-        diag += lam[(state.coset_a[w] * e) % m]
-    diag /= n_prev
-
-    # differences with d' = d_{[i-1]} != 0
-    base = prev.density_table
-    ripples: dict[int, list] = {}
-    mod_idx = np.flatnonzero(modified)
-    if mod_idx.size:
-        for dprime in range(1, n_prev):
-            # any coset triple touching a modified fiber
-            touched = set()
-            for w in mod_idx:
-                for j in (0, 1, 2):
-                    touched.add((w - j * dprime) % n_prev)
-            terms: list = []
-            for w in sorted(touched):
-                legs = [(w + j * dprime) % n_prev for j in (0, 1, 2)]
-                jj = [j for j in (0, 1, 2) if modified[legs[j]]]
-                if not jj:
-                    continue
-                avals = [int(state.coset_a[legs[j]]) for j in jj]
-                bvals = [int(state.coset_b[legs[j]]) for j in jj]
-                const_prod = 1.0
-                for j in (0, 1, 2):
-                    if j not in jj:
-                        const_prod *= prev_vals[legs[j]]
-                if const_prod == 0.0:
-                    continue
-                for rvec in itertools.product(supp, repeat=len(jj)):
-                    if all(r == 0 for r in rvec):
-                        continue
-                    if sum(r * av for r, av in zip(rvec, avals)) % m:
-                        continue
-                    coef = const_prod * complex(
-                        np.exp(-2j * np.pi * (sum(r * bv for r, bv in zip(rvec, bvals)) % m) / m)
-                    )
-                    for r, j in zip(rvec, jj):
-                        coef *= ghat[r]
-                    k = sum(j * r * av for r, av, j in zip(rvec, avals, jj)) % m
-                    terms.append((k, coef))
-            if terms:
-                ripples[dprime] = terms
-
-    # assemble the full Z_{n_new} table
-    d = np.arange(n_new, dtype=np.int64)
-    w_idx = d % n_prev
-    table = base[w_idx].astype(np.float64)
-    rows0 = np.flatnonzero(w_idx == 0)
-    table[rows0] = diag[rows0 % m]
-    for dprime, terms in ripples.items():
-        rows = np.flatnonzero(w_idx == dprime)
-        ee = rows % m
-        corr = np.zeros(len(rows), dtype=np.complex128)
-        for k, coef in terms:
-            corr += coef * np.exp((-2j * np.pi / m) * ((k * ee) % m))
-        table[rows] = base[dprime] + corr.real / n_prev
-    return table
+    # a base difference with no nonzero term keeps the level-(i-1) density exactly
+    rows = np.repeat(prev.density_table[:, None], m, axis=1)
+    w = np.arange(n_prev)
+    for dprime in range(n_prev):
+        w1, w2 = (w + dprime) % n_prev, (w + 2 * dprime) % n_prev
+        r0, r1 = freq[:, :, None], freq[w1, None, :]
+        r2 = (-(r0 + r1)) % m
+        terms = val[:, :, None] * val[w1, None, :] * coef[w2[:, None, None], r2]
+        keep = ((r0 != 0) | (r1 != 0)) & (terms != 0)
+        if keep.any():
+            k, t = ((r1 + 2 * r2) % m)[keep], terms[keep]
+            amp = np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
+            rows[dprime] += np.fft.fft(amp).real / n_prev
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from popdiff.aps import per_diff_density
+from popdiff.aps import per_diff_density, total_3ap_density
 from popdiff.bohr import (
     beta_measure,
     bohr_set,
@@ -212,6 +212,10 @@ def test_upper_search_matches_argmax_oracle():
         assert tr.d == best_d
         assert abs(tr.density - best) < 1e-15
         assert abs(per_diff_density(f, tr.d) - tr.density) < 1e-15
+        # the Bohr sets collapse to Z_n here, so phi = 1 and Lambda_phi is the
+        # total density
+        assert len(tr.phi_support) == 1009
+        assert abs(tr.lambda_phi - total_3ap_density(f)) < 1e-12
 
 
 def test_upper_search_strict_schedule_smoke():

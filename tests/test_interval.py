@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from popdiff.aps import per_diff_density, perdiff_table_sparse
+from popdiff.aps import ap_sums, per_diff_density, perdiff_table_sparse
 from popdiff.behrend import low_ap_density_subset, scaled_indicator
 from popdiff.domains import OVER_WINDOW, DensityFn, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
@@ -241,6 +241,13 @@ def test_sample_set_mechanics():
         sample_set(f, eps, rng, max_attempts=2)
     cert = info.value.log["cert"]
     assert cert.attempts == 2
+    # a failing sample reports its worst difference, not its first violating one
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        indicator = (rng.random(n) < np.where(np.arange(1, n + 1) >= n * (1 - eps), 0.0, f.values))
+    dens = ap_sums(indicator.astype(float), cyclic=False)[1:] / (n - 2 * np.arange(1, (n - 1) // 2 + 1))
+    assert cert.worst_d == int(dens.argmax()) + 1 > 1
+    assert cert.worst_density == dens.max()
     # the truncated tail never enters the sample
     rng = np.random.default_rng(1)
     draws = rng.random(n)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st_
 
-from popdiff.aps import ap_sums
+from popdiff.aps import ap_sums, perdiff_table_sparse
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.modelfn import CUBE_MOMENT_FACTOR, TRIPLE_DENSITY_FACTOR, build_model_fn
 from popdiff.product import (
@@ -13,7 +15,6 @@ from popdiff.product import (
     feasibility,
     random_modify_level,
     verify_level,
-    _model_lambda_table,
 )
 
 ALPHA = 0.25
@@ -153,8 +154,8 @@ def test_lift_invariance_under_smoothness():
             if len(a) >= 2 and not smooth_tuple_ok(supp, a, m).ok:
                 all_smooth = False
         if all_smooth:
-            assert vals.max() - vals.min() < 1e-12
-            assert abs(vals[0] - st.density_table[dprime]) < 1e-12
+            # no nonzero-frequency term: the row is the level-1 density, bit for bit
+            assert np.all(vals == st.density_table[dprime])
 
 
 def test_table_sampled_check_at_acceptance_size():
@@ -171,6 +172,41 @@ def test_table_sampled_check_at_acceptance_size():
     for d in picks:
         direct = float(np.mean(v * np.roll(v, -d) * np.roll(v, -2 * d)))
         assert abs(direct - st2.density_table[d]) < 1e-10, d
+
+
+@given(
+    chain=st_.lists(st_.sampled_from((7, 11, 13, 31)), min_size=1, max_size=2, unique=True),
+    mus=st_.lists(st_.floats(0.0, 1.0), min_size=2, max_size=2),
+    alpha=st_.sampled_from((0.2, 0.25, 0.3)),
+    seed=st_.integers(0, 2**32 - 1),
+)
+def test_structural_table_matches_bruteforce(chain, mus, alpha, seed):
+    # two- and three-level chains over Z_5: the structural table is the
+    # direct per-difference sum at every d
+    st = build_level1(alpha, 5)
+    rng = np.random.default_rng(seed)
+    for m, mu in zip(chain, mus):
+        st = random_modify_level(st, m, rng, mu_next=mu)
+    brute = ap_sums(st.values) / st.n
+    assert np.abs(brute - st.density_table).max() < 1e-12
+
+
+def test_three_level_table_sampled_check_at_desk_size():
+    # (5, 101, 1009) is out of reach of the full brute table; 300 sampled
+    # differences incl. the worst one and some d' = 0 rows against np.roll sums
+    st = build_level1(ALPHA, 5)
+    rng = np.random.default_rng(42)
+    st2 = random_modify_level(st, 101, rng, mu_next=0.5)
+    st3 = random_modify_level(st2, 1009, rng, mu_next=0.5)
+    v = st3.values
+    n = st3.n
+    assert st3.m_set_size > 0
+    picks = set(int(x) for x in np.random.default_rng(1).integers(1, n, 300))
+    picks.add(int(st3.density_table[1:].argmax()) + 1)
+    picks.update(k * 505 for k in range(1, 6))  # d' = 0 rows
+    for d in picks:
+        direct = float(np.mean(v * np.roll(v, -d) * np.roll(v, -2 * d)))
+        assert abs(direct - st3.density_table[d]) < 1e-12, d
 
 
 def test_verify_level_pass_and_fail():
@@ -205,7 +241,7 @@ def test_fiber_average_law():
     # below (31/32) alpha'^3
     ap = 0.3125
     m = 101
-    lam = _model_lambda_table(ap, m)
+    lam = perdiff_table_sparse(build_model_fn(ap, m).spectrum)
     exact_mean = lam[1:].mean()
     assert exact_mean <= TRIPLE_DENSITY_FACTOR * ap**3 + 1e-12
     rng = np.random.default_rng(9)
