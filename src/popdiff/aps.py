@@ -42,6 +42,8 @@ _PAIR_BLOCK = 1 << 18
 # of n: pairs cost |supp|^2 and windows n^2, breaking even near 0.22-0.28 n
 _PAIR_CROSSOVER = 0.2
 
+VERDICT_SLACK = 1e-12  # a verdict passes a density up to target + VERDICT_SLACK
+
 
 # ---------------------------------------------------------------------------
 # the 3-AP correlation kernel and fixed differences
@@ -52,16 +54,17 @@ def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
 
     ``cyclic`` reads v on Z_n (d mod n, default every d); otherwise v lives on
     [N], x runs over [N-2d] and d lies in 0..(N-1)//2 (the default).  Each d
-    is one window pass, so its value does not depend on the other d's.  The
-    full table of a sparse {0,1} vector comes instead from exact counts over
-    support pairs, equal to the window sums bit for bit.
+    is one window pass, so its value does not depend on the other d's; a full
+    cyclic table mirrors d <= n/2, as S(n-d) = S(d) (substitute x -> x+2d).
+    The full table of a sparse {0,1} vector comes instead from exact counts
+    over support pairs, equal to the window sums bit for bit.
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     dmax = n - 1 if cyclic else (n - 1) // 2
     if diffs is None and np.count_nonzero(v) <= _PAIR_CROSSOVER * n and np.all((v == 0) | (v == 1)):
         return _pair_sums(v, cyclic)
-    ds = np.arange(dmax + 1) if diffs is None else np.asarray(diffs, dtype=np.int64)
+    ds = np.arange(min(dmax, n // 2) + 1) if diffs is None else np.asarray(diffs, dtype=np.int64)
     if cyclic:
         ds = ds % n
     elif ds.size and (ds.min() < 0 or ds.max() > dmax):
@@ -71,7 +74,7 @@ def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
     for i, d in enumerate(ds.tolist()):
         w = n if cyclic else n - 2 * d
         out[i] = np.einsum("i,i,i->", t[:w], t[d : d + w], t[2 * d : 2 * d + w])
-    return out
+    return np.concatenate([out, out[1 : (n + 1) // 2][::-1]]) if cyclic and diffs is None else out
 
 
 def _pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
@@ -211,6 +214,23 @@ def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto
         raise DomainError("interval profiles need an interval normalization")
     w = n if normalization == OVER_N else n - 2 * np.arange((n - 1) // 2 + 1)
     return APProfile(ap_sums(f.values, cyclic=False) / w, normalization, n)
+
+
+def worst_difference(prof: APProfile, target: float = np.inf) -> tuple:
+    """(d, density, passed) for the worst nonzero difference of a profile.
+
+    A group takes max(t[d], t[n-d]) over 1 <= d <= (n-1)/2 (d and -d are one
+    difference) and an interval 1 <= d <= (N-1)/2; d is the smallest maximiser,
+    (None, None, True) means there is no nonzero d, and passed is
+    density <= target + VERDICT_SLACK."""
+    t = prof.densities[1:]
+    if prof.normalization == GROUP:
+        t = np.maximum(t[: prof.n // 2], t[::-1][: prof.n // 2])  # t[d-1] vs t[n-d-1]
+    if t.size == 0:
+        return None, None, True
+    k = int(t.argmax())
+    worst = float(t[k])
+    return k + 1, worst, worst <= target + VERDICT_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -196,13 +196,6 @@ def lambda_weighted_spectral(fvals: np.ndarray, phi: np.ndarray) -> float:
     return float(total.real)
 
 
-def sumset(elements: np.ndarray, n: int) -> np.ndarray:
-    a = np.asarray(elements, dtype=np.int64)
-    sums = a[:, None] + a[None, :]
-    sums %= n
-    return np.flatnonzero(np.bincount(sums.ravel(), minlength=n))
-
-
 # ---------------------------------------------------------------------------
 # scalar lemmas
 
@@ -483,7 +476,9 @@ def upper_search(
             f"Bohr set collapsed to the origin at level {chosen}", level=chosen
         )
     phi = phi_measure(b_final)
-    candidates = sumset(b_final.elements, n)  # supp phi = B+B
+    # supp phi = B+B: phi(s) = r n / |B|^2 with r the number of ways s = b + b',
+    # so half a representation separates zero from nonzero, far above roundoff
+    candidates = np.flatnonzero(phi > 0.5 * n / b_final.size**2)
     sums = ap_sums(fv, candidates)
     lam = float(np.dot(phi[candidates], sums)) / n**2
 

@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aps import ap_profile, total_3ap_density
+from .aps import ap_profile, total_3ap_density, worst_difference
 from .behrend import apfree_set, is_apfree, low_ap_density_subset
 from .bohr import geometric_schedule, strict_schedule, upper_search
 from .domains import (
     OVER_N,
     OVER_WINDOW,
     DensityFn,
+    _is_int,
     cyclic,
     fn_from_dict,
     interval,
@@ -37,7 +38,7 @@ from .errors import (
     PopdiffError,
     RetriesExhausted,
 )
-from .interval import choose_interval_params, construct_interval_fn, scan_interval_fn
+from .interval import choose_interval_params, construct_interval_fn
 from .modelfn import build_model_fn, model_fn_extra
 from .product import ProductParams, construct_product
 
@@ -78,16 +79,15 @@ def cmd_scan(args) -> int:
     norm = _normalization(f, args.norm)
     prof = ap_profile(f, normalization=norm)
     prof.to_csv(f"{args.out}.csv")
-    dens = prof.densities
-    nonzero = dens[1:]
+    worst_d, worst, _ = worst_difference(prof)
     summary = {
         "n": f.n,
         "normalization": prof.normalization,
         "mean": f.mean(),
         "total_3ap_density": total_3ap_density(f) if f.domain.is_group else None,
-        "max_offdiag_density": float(nonzero.max()) if len(nonzero) else None,
-        "min_offdiag_density": float(nonzero.min()) if len(nonzero) else None,
-        "argmax_d": int(nonzero.argmax()) + 1 if len(nonzero) else None,
+        "max_offdiag_density": worst,
+        "min_offdiag_density": float(prof.densities[1:].min()) if worst_d else None,
+        "argmax_d": worst_d,
         "meta": _meta(args, {"infile": str(args.infile)}),
     }
     _write_json(f"{args.out}.summary.json", summary)
@@ -176,10 +176,6 @@ def cmd_upper(args) -> int:
     return EXIT_OK if trace.density >= alpha**3 - args.epsilon else EXIT_VERIFY
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _set_indicator(obj: dict) -> DensityFn:
     """Indicator of a set artifact: residues 0..n-1 of Z_n under ``n``, or
     members 1..N of the interval [N] under ``N``."""
@@ -216,13 +212,7 @@ def cmd_verify(args) -> int:
         target = alpha**3 - args.epsilon
     else:
         raise FileFormatError(f"unknown bound spec {args.bound!r}")
-    if f.domain.is_group:
-        prof = ap_profile(f)
-        worst = float(prof.densities[1:].max())
-        worst_d = int(prof.densities[1:].argmax()) + 1
-        ok = worst <= target + 1e-12
-    else:
-        worst_d, worst, ok = scan_interval_fn(f.values, target)
+    worst_d, worst, ok = worst_difference(ap_profile(f, _normalization(f, None)), target)
     print(
         json.dumps(
             {

@@ -189,6 +189,10 @@ class APProfile:
 # function file format
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def fn_to_dict(f: DensityFn, extra: dict | None = None) -> dict:
     dom = {"kind": f.domain.kind, "n": int(f.domain.n)}
     if f.domain.kind == PRODUCT:
@@ -203,11 +207,13 @@ def fn_from_dict(obj: dict) -> tuple[DensityFn, dict]:
     try:
         dom = obj["domain"]
         kind = dom["kind"]
-        n = int(dom["n"])
+        n = dom["n"]
         factors = tuple(dom.get("factors") or ())
         values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"not a function file: missing {exc}") from exc
+    if not _is_int(n):
+        raise FileFormatError(f"domain size 'n' must be an integer, got {n!r}")
     desc = DomainDesc(kind, n, factors if kind == PRODUCT else ())
     try:
         f = DensityFn(desc, np.asarray(values, dtype=np.float64))

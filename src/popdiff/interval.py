@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import ap_sums
+from .aps import VERDICT_SLACK, ap_profile, ap_sums, worst_difference
 from .behrend import low_ap_density_subset, scaled_indicator
-from .domains import DensityFn, interval, is_prime
+from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .product import ProductParams, construct_product
 
@@ -287,33 +287,22 @@ class IntervalCert:
         }
 
 
-def scan_interval_fn(
-    values: np.ndarray, target: float, early_exit: bool = False
-) -> tuple[int, float, bool]:
-    """Exhaustive over-(N-2d) scan of every 0 < d < N/2.
-
-    Returns (first worst d, worst density, passed); N <= 2 has no d and gives
-    (0, -1.0, True).  With early_exit the d's go in doubling blocks (1, 2-3,
-    4-7, ...) and the scan stops at the first violation, reporting that d.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    n = len(v)
-    limit = target + 1e-12
-    ds = np.arange(1, (n - 1) // 2 + 1)
-    if early_exit:
-        dens = np.empty(len(ds))
-        for lo in (1 << k for k in range(len(ds).bit_length())):
-            block = slice(lo - 1, 2 * lo - 1)
-            dens[block] = ap_sums(v, ds[block], cyclic=False) / (n - 2 * ds[block])
-            if dens[block].max() > limit:
-                k = int(np.argmax(dens[: 2 * lo - 1] > limit))
-                return k + 1, float(dens[k]), False
-    else:
-        dens = ap_sums(v, cyclic=False)[1:] / (n - 2 * ds)  # may count support pairs
-    if dens.size == 0:
-        return 0, -1.0, True
-    k = int(dens.argmax())
-    return k + 1, float(dens[k]), bool(dens[k] <= limit)
+def scan_interval_fn(values: np.ndarray, target: float) -> tuple:
+    """Over-(N-2d) scan of 0 < d < N/2 in doubling blocks (1, 2-3, 4-7, ...):
+    the first block with a density above target + VERDICT_SLACK ends it with
+    (its first violating d, that density, False); a scan of every d returns
+    ``worst_difference`` of the densities computed."""
+    n = len(values)
+    dens = np.zeros((n - 1) // 2 + 1)
+    lo = 1
+    while lo < len(dens):
+        ds = np.arange(lo, min(2 * lo, len(dens)))
+        dens[ds] = ap_sums(values, ds, cyclic=False) / (n - 2 * ds)
+        bad = ds[dens[ds] > target + VERDICT_SLACK]
+        if bad.size:
+            return int(bad[0]), float(dens[bad[0]]), False
+        lo *= 2
+    return worst_difference(APProfile(dens, OVER_WINDOW, n), target)
 
 
 def construct_interval_fn(
@@ -355,7 +344,7 @@ def construct_interval_fn(
             f3 = step3_overlay(f2, params, plan, xi)
             if abs(f3.mean() - alpha) > 1e-9:
                 raise DomainError(f"overlay broke the mean: {f3.mean()} vs {alpha}")
-            worst_d, worst, ok = scan_interval_fn(f3.values, target, early_exit=True)
+            worst_d, worst, ok = scan_interval_fn(f3.values, target)
             if best is None or worst < best[2]:
                 best = (f3, worst_d, worst, plan)
             if ok:
@@ -396,8 +385,8 @@ def construct_interval_fn(
 
 @dataclass
 class SampleCert:
-    """Outcome of one sampling attempt; worst_d is the first d attaining the
-    largest over-(N-2d) density, reported whether or not the sample passed."""
+    """Outcome of one sampling attempt; worst_d is ``worst_difference``'s d,
+    reported whether or not the sample passed."""
 
     seed: int
     attempts: int
@@ -414,8 +403,8 @@ class SampleCert:
             "attempts": self.attempts,
             "size": self.size,
             "size_required": self.size_required,
-            "worst_d": int(self.worst_d),
-            "worst_density": float(self.worst_density),
+            "worst_d": self.worst_d,
+            "worst_density": self.worst_density,
             "target": self.target,
             "passed": bool(self.passed),
         }
@@ -454,7 +443,8 @@ def sample_set(
         indicator = np.zeros(n)
         indicator[members - 1] = 1.0
         size_ok = len(members) >= alpha * n
-        worst_d, worst, ok = scan_interval_fn(indicator, target)
+        prof = ap_profile(DensityFn(interval(n), indicator), OVER_WINDOW)
+        worst_d, worst, ok = worst_difference(prof, target)
         cert = SampleCert(
             seed=seed,
             attempts=attempt,
@@ -470,7 +460,7 @@ def sample_set(
             return members, cert
     raise RetriesExhausted(
         f"sampling failed {max_attempts} attempts; last: |A|={last[1].size} "
-        f"(need {last[1].size_required:.1f}), worst density {last[1].worst_density:.6g} "
+        f"(need {last[1].size_required:.1f}), worst density {last[1].worst_density} "
         f"at d={last[1].worst_d} vs target {target:.6g}",
         log={"cert": last[1]},
     )

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import ap_sums
-from .domains import DensityFn, cyclic, is_prime, product
+from .aps import VERDICT_SLACK, ap_sums, worst_difference
+from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .modelfn import build_model_fn, model_support
 
@@ -349,16 +349,15 @@ class LevelVerdict:
 
 def verify_level(state: LevelState, epsilon: float, max_report: int = 20) -> LevelVerdict:
     """Exhaustive check that every nonzero difference has density at most
-    alpha^3 (1 - epsilon)."""
+    alpha^3 (1 - epsilon), by ``worst_difference``."""
     target = state.alpha**3 * (1 - epsilon)
     table = state.density_table
-    off = table[1:]
-    arg = int(off.argmax()) + 1
-    bad = np.flatnonzero(off > target + 1e-12) + 1
+    arg, worst, passed = worst_difference(APProfile(table, GROUP, state.n), target)
+    bad = np.flatnonzero(table[1:] > target + VERDICT_SLACK) + 1
     return LevelVerdict(
-        passed=bad.size == 0,
+        passed=passed,
         target=target,
-        max_offdiag=float(off.max()),
+        max_offdiag=worst,
         argmax_d=arg,
         violations=[(int(d), float(table[d])) for d in bad[:max_report]],
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import popdiff.domains
 from popdiff.aps import (
     SPARSE_TOL,
+    VERDICT_SLACK,
     _pair_sums,
     ap_profile,
     ap_sums,
@@ -19,8 +20,9 @@ from popdiff.aps import (
     total_3ap_density,
     tower,
     tower_height,
+    worst_difference,
 )
-from popdiff.domains import OVER_N, OVER_WINDOW, DensityFn, cyclic, interval
+from popdiff.domains import GROUP, OVER_N, OVER_WINDOW, APProfile, DensityFn, cyclic, interval
 from popdiff.errors import DomainError
 from popdiff.fourier import dft, idft
 from popdiff.modelfn import build_model_fn
@@ -209,6 +211,40 @@ def test_batch_matches_single_bitwise(values, cyclic, data):
     batch = ap_sums(values, ds, cyclic=cyclic)
     for d, got in zip(ds, batch):
         assert got == ap_sums(values, [d], cyclic=cyclic)[0]
+
+
+@given(unit_values, st.data())
+def test_full_cyclic_table_symmetric_bitwise(values, data):
+    # S(d) == S(n-d) bit for bit, odd and even n, on the dense backend
+    # (values in [0, 1]) and on the pair backend (an indicator on <= n/5 points)
+    n = len(values)
+    support = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 5))
+    indicator = np.zeros(n)
+    indicator[list(support)] = 1.0
+    for table in (ap_sums(values), ap_sums(indicator), _pair_sums(indicator, True)):
+        assert np.array_equal(table[1:], table[1:][::-1])
+    windows = ap_sums(values, np.arange(n))  # every d is its own window pass
+    assert np.allclose(ap_sums(values), windows, rtol=0, atol=1e-12)
+
+
+def test_worst_difference_rule():
+    # a group maximum at n - d = 4 is reported at d = 3 with the same value,
+    # and a tie between d = 1 and d = 2 goes to the smaller d
+    table = np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1])
+    assert worst_difference(APProfile(table, GROUP, 7)) == (3, 0.35, True)
+    table = np.array([0.9, 0.3, 0.3, 0.1, 0.1, 0.2, 0.1])
+    assert worst_difference(APProfile(table, GROUP, 7)) == (1, 0.3, True)
+    # an interval [7] scans d = 1..3 only
+    assert worst_difference(APProfile([0.9, 0.1, 0.4, 0.4], OVER_WINDOW, 7)) == (2, 0.4, True)
+    # no nonzero difference: Z_1, [1], [2]
+    assert worst_difference(APProfile([0.5], GROUP, 1), 0.0) == (None, None, True)
+    for n in (1, 2):
+        assert worst_difference(APProfile([0.5], OVER_N, n), 0.0) == (None, None, True)
+    # passed flips at target + VERDICT_SLACK
+    prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
+    assert worst_difference(prof, 0.35)[2]
+    assert worst_difference(prof, 0.35 - VERDICT_SLACK / 2)[2]
+    assert not worst_difference(prof, 0.35 - 2 * VERDICT_SLACK)[2]
 
 
 @given(

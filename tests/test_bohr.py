@@ -5,6 +5,7 @@ import pytest
 
 from popdiff.aps import per_diff_density, total_3ap_density
 from popdiff.bohr import (
+    BohrSet,
     beta_measure,
     bohr_set,
     dilate,
@@ -20,7 +21,6 @@ from popdiff.bohr import (
     schur_gap,
     smooth,
     strict_schedule,
-    sumset,
     upper_search,
 )
 from popdiff.domains import DensityFn, cyclic
@@ -121,12 +121,23 @@ def test_lambda_weighted_point_mass_and_spectral():
 
 
 def test_sumset_matches_unique_reference():
+    # upper_search reads B+B as {phi > n / (2 |B|^2)}: half a representation
     rng = np.random.default_rng(13)
     for n in (1, 7, 101, 1009):
         for size in sorted({1, min(2, n), max(1, n // 3), n}):
-            a = rng.choice(n, size=size, replace=False)
+            a = np.sort(rng.choice(n, size=size, replace=False))
             ref = np.unique((a[:, None] + a[None, :]) % n)
-            assert np.array_equal(sumset(a, n), ref)
+            phi = phi_measure(BohrSet(n, (), 0.0, np.zeros(n, dtype=np.int64), a))
+            assert np.array_equal(np.flatnonzero(phi > 0.5 * n / size**2), ref)
+    for freqs, rho in (({3}, 0.05), ({5, 17}, 0.2), ({1, 2, 40}, 0.3)):
+        b = bohr_set(1009, freqs, rho)
+        ref = np.unique((b.elements[:, None] + b.elements[None, :]) % 1009)
+        phi = phi_measure(b)
+        assert np.array_equal(np.flatnonzero(phi > 0.5 * 1009 / b.size**2), ref)
+    # a search whose final Bohr set is {0, 1, -1}, not Z_n: supp phi = {0, +-1, +-2}
+    f = build_model_fn(0.3, 1009).fn
+    tr = upper_search(f, 0.005, schedule=geometric_schedule(0.1, 0.5), nu=0.5)
+    assert tr.phi_support.tolist() == [0, 1, 2, 1007, 1008]
 
 
 def test_schur():

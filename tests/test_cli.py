@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from popdiff.cli import main
+from popdiff.domains import DensityFn, cyclic, save_fn
 
 
 def digest(path):
@@ -28,8 +31,6 @@ def test_construct_model_and_scan(tmp_path):
 
 
 def test_scan_constant_rows(tmp_path):
-    from popdiff.domains import DensityFn, cyclic, save_fn
-
     save_fn(DensityFn(cyclic(7), np.full(7, 0.3)), tmp_path / "c.json")
     assert main(["scan", "--in", str(tmp_path / "c.json"), "--out", str(tmp_path / "c")]) == 0
     rows = (tmp_path / "c.csv").read_text().strip().split("\n")[1:]
@@ -92,8 +93,6 @@ def test_verify_replay(tmp_path):
                  "--epsilon", "8e-3"])
     assert code == 0
     # a constant function fails the relative bound
-    from popdiff.domains import DensityFn, cyclic, save_fn
-
     save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "flat.json")
     assert main(["verify", "--in", str(tmp_path / "flat.json"), "--bound", "rel",
                  "--epsilon", "1e-3"]) == 1
@@ -126,6 +125,60 @@ def test_verify_malformed_set_artifact(tmp_path, capsys, artifact):
     code = main(["verify", "--in", str(path), "--bound", "abs", "--epsilon", "0.01"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+@pytest.mark.parametrize("size", ["7", True, 7.5])
+def test_function_file_non_integer_size(tmp_path, capsys, command, size):
+    # the value count matches int(size), so only the type of "n" is wrong
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"domain": {"kind": "cyclic", "n": size},
+                                "values": [0.25] * int(size)}))
+    argv = {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
+            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_no_nonzero_difference_gives_null_fields(tmp_path, capsys):
+    # Z_1 and the interval [2] have no nonzero difference: exit 0, null fields
+    one = tmp_path / "one.fn.json"
+    save_fn(DensityFn(cyclic(1), np.array([0.5])), one)
+    assert main(["scan", "--in", str(one), "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s.summary.json").read_text())
+    assert summary["argmax_d"] is None
+    assert summary["max_offdiag_density"] is None and summary["min_offdiag_density"] is None
+    capsys.readouterr()
+    two = tmp_path / "two.set.json"
+    two.write_text(json.dumps({"elements": [1], "N": 2}))
+    for path in (one, two):
+        assert main(["verify", "--in", str(path), "--epsilon", "0.01"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["worst_d"] is None and rep["worst_density"] is None and rep["passed"] is True
+
+
+def readme_cli_commands():
+    """(argv, exit code) for each popdiff command of the README's CLI block,
+    with backslash continuations joined and the code from '# exit N'."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "popdiff " in b)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line.startswith("popdiff "):
+            command, _, comment = line.partition("#")
+            code = re.fullmatch(r"\s*exit (\d+)\s*", comment)
+            assert code, f"README command without a trailing '# exit N': {line}"
+            commands.append((shlex.split(command)[1:], int(code.group(1))))
+    return commands
+
+
+def test_readme_cli_block(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) == 7
+    for argv, code in commands:
+        assert main(argv) == code, argv
 
 
 def test_upper_command(tmp_path):

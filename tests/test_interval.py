@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from popdiff.aps import ap_sums, per_diff_density, perdiff_table_sparse
+from popdiff.aps import ap_profile, ap_sums, per_diff_density, perdiff_table_sparse, worst_difference
 from popdiff.behrend import low_ap_density_subset, scaled_indicator
 from popdiff.domains import OVER_WINDOW, DensityFn, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
@@ -202,20 +202,19 @@ def test_scan_matches_per_diff():
     assert worst_d == int(np.argmax(dens)) + 1
 
 
-@pytest.mark.parametrize("early_exit", [False, True])
-def test_scan_edge_cases(early_exit):
+def test_scan_edge_cases():
     # N <= 2 admits no difference; an all-zero indicator has density 0 everywhere
     for n in (0, 1, 2):
-        assert scan_interval_fn(np.zeros(n), 0.01, early_exit) == (0, -1.0, True)
-    assert scan_interval_fn(np.zeros(101), 0.01, early_exit) == (1, 0.0, True)
-    assert scan_interval_fn(np.zeros(101), -0.01, early_exit) == (1, 0.0, False)
+        assert scan_interval_fn(np.zeros(n), 0.01) == (None, None, True)
+    assert scan_interval_fn(np.zeros(101), 0.01) == (1, 0.0, True)
+    assert scan_interval_fn(np.zeros(101), -0.01) == (1, 0.0, False)
 
 
 @given(st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=150), st.floats(0, 0.6))
 def test_scan_matches_per_diff_loop(values, target):
-    # early_exit (dense windows in doubling blocks) stops at the first
-    # violating d; the full scan (support pairs for a sparse indicator)
-    # reports the first maximiser; both against a loop over d
+    # the scan (dense windows in doubling blocks) stops at the first
+    # violating d; the rule on the full profile (support pairs for a sparse
+    # indicator) reports the first maximiser; both against a loop over d
     n = len(values)
     dens = []
     for d in range(1, (n - 1) // 2 + 1):
@@ -223,13 +222,12 @@ def test_scan_matches_per_diff_loop(values, target):
         dens.append(count / (n - 2 * d))
     k = int(np.argmax(dens))
     first_bad = next((d for d, v in enumerate(dens, 1) if v > target + 1e-12), None)
-    assert scan_interval_fn(values, target) == (k + 1, dens[k], first_bad is None)
+    prof = ap_profile(DensityFn(interval(n), values), OVER_WINDOW)
+    assert worst_difference(prof, target) == (k + 1, dens[k], first_bad is None)
     if first_bad is None:
-        assert scan_interval_fn(values, target, early_exit=True) == (k + 1, dens[k], True)
+        assert scan_interval_fn(values, target) == (k + 1, dens[k], True)
     else:
-        assert scan_interval_fn(values, target, early_exit=True) == (
-            first_bad, dens[first_bad - 1], False
-        )
+        assert scan_interval_fn(values, target) == (first_bad, dens[first_bad - 1], False)
 
 
 def test_sample_set_mechanics():
@@ -260,6 +258,13 @@ def test_sample_set_mechanics():
         sample_set(empty, eps, np.random.default_rng(2), max_attempts=1, alpha=0.1)
     members, cert = sample_set(empty, 0.0, np.random.default_rng(3), max_attempts=1, alpha=0.0)
     assert len(members) == 0 and cert.passed
+    # [2] has no nonzero difference: null worst fields, and a failure still reports
+    _, cert = sample_set(DensityFn(interval(2), np.ones(2)), 0.0, np.random.default_rng(4),
+                         max_attempts=1, alpha=0.0)
+    assert cert.passed and cert.to_dict()["worst_d"] is None
+    with pytest.raises(RetriesExhausted):
+        sample_set(DensityFn(interval(2), np.zeros(2)), 0.0, np.random.default_rng(5),
+                   max_attempts=1, alpha=0.5)
 
 
 def test_sample_set_pinned_retry_count():

@@ -209,6 +209,22 @@ def test_three_level_table_sampled_check_at_desk_size():
         assert abs(direct - st3.density_table[d]) < 1e-12, d
 
 
+@given(
+    m=st_.sampled_from((31, 101)),
+    mu=st_.floats(0.0, 1.0),
+    seed=st_.integers(0, 2**32 - 1),
+)
+def test_verify_level_reports_smaller_of_d_and_minus_d(m, mu, seed):
+    # the structural table is symmetric only to roundoff; the verdict names
+    # the smallest d <= (n-1)/2 of the worst pair and the exact table maximum
+    st = random_modify_level(build_level1(ALPHA, 5), m, np.random.default_rng(seed), mu_next=mu)
+    verdict = verify_level(st, 8e-3)
+    table = st.density_table
+    assert 1 <= verdict.argmax_d <= (st.n - 1) // 2
+    assert verdict.max_offdiag == table[1:].max()
+    assert max(table[verdict.argmax_d], table[st.n - verdict.argmax_d]) == verdict.max_offdiag
+
+
 def test_verify_level_pass_and_fail():
     st = build_level1(ALPHA, 5)
     verdict = verify_level(st, 8e-3)
