@@ -202,12 +202,17 @@ def test_scan_matches_per_diff():
     assert worst_d == int(np.argmax(dens)) + 1
 
 
-def test_scan_edge_cases():
-    # N <= 2 admits no difference; an all-zero indicator has density 0 everywhere
+@pytest.mark.parametrize("as_list", [False, True])
+def test_scan_edge_cases(as_list):
+    # N <= 2 admits no difference; an all-zero indicator has density 0
+    # everywhere; the scan takes a plain list as well as an array
+    def zeros(n):
+        return [0.0] * n if as_list else np.zeros(n)
+
     for n in (0, 1, 2):
-        assert scan_interval_fn(np.zeros(n), 0.01) == (None, None, True)
-    assert scan_interval_fn(np.zeros(101), 0.01) == (1, 0.0, True)
-    assert scan_interval_fn(np.zeros(101), -0.01) == (1, 0.0, False)
+        assert scan_interval_fn(zeros(n), 0.01) == (None, None, True)
+    assert scan_interval_fn(zeros(101), 0.01) == (1, 0.0, True)
+    assert scan_interval_fn(zeros(101), -0.01) == (1, 0.0, False)
 
 
 @given(st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=150), st.floats(0, 0.6))
