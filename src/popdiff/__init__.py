@@ -9,15 +9,7 @@ exhaustive scan.
 
 __version__ = "0.1.0"
 
-from .aps import (
-    ap_profile,
-    from_coords,
-    per_diff_density,
-    to_coords,
-    total_3ap_density,
-    tower,
-    tower_height,
-)
+from .aps import ap_profile, per_diff_density, total_3ap_density
 from .behrend import apfree_set, brute_max_apfree, is_apfree, low_ap_density_subset, scaled_indicator
 from .bohr import (
     BohrSet,
@@ -57,7 +49,7 @@ from .errors import (
     RegularityError,
     RetriesExhausted,
 )
-from .fourier import convolve, dft, idft, idft_real
+from .fourier import convolve, dft, idft
 from .interval import (
     choose_interval_params,
     construct_interval_fn,
@@ -65,12 +57,7 @@ from .interval import (
     step1_step2_tile,
     step3_overlay,
 )
-from .modelfn import (
-    build_model_fn,
-    sample_smooth_tuple,
-    smooth_tuple_ok,
-    verify_model_properties,
-)
+from .modelfn import build_model_fn, verify_model_properties
 from .product import (
     ProductParams,
     build_level1,

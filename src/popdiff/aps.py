@@ -1,5 +1,5 @@
-"""3-AP densities with fixed and varying common difference, plus tower and
-Chinese-remainder coordinate helpers.
+"""3-AP densities with fixed and varying common difference, and the one rule
+that reports the worst nonzero difference.
 
 Every density is a normalized S(d) = sum_x v[x] v[x+d] v[x+2d] from
 ``ap_sums`` (d=0 is always admissible and included in profiles, so that the
@@ -232,55 +232,3 @@ def worst_difference(prof: APProfile, target: float = np.inf) -> tuple:
     worst = float(t[k])
     return k + 1, worst, worst <= target + VERDICT_SLACK
 
-
-# ---------------------------------------------------------------------------
-# tower function
-
-
-def tower(m: int) -> int:
-    """tower(0) = 1, tower(m) = 2**tower(m-1); exact big integers."""
-    if m < 0:
-        raise ValueError("tower height must be nonnegative")
-    t = 1
-    for _ in range(m):
-        t = 2**t
-    return t
-
-
-def tower_height(n: int) -> int:
-    """Least m with tower(m) >= n."""
-    if n < 1:
-        raise ValueError("tower_height needs a positive argument")
-    m, t = 0, 1
-    while t < n:
-        t = 2**t
-        m += 1
-    return m
-
-
-# ---------------------------------------------------------------------------
-# product-group coordinates
-
-
-def to_coords(x: int, factors) -> tuple:
-    """Canonical Z_n -> prod Z_{m_i} coordinates, x |-> (x mod m_1, ...)."""
-    return tuple(x % m for m in factors)
-
-
-def from_coords(coords, factors) -> int:
-    """Inverse Chinese-remainder map; factors must be pairwise coprime."""
-    factors = tuple(factors)
-    if len(coords) != len(factors):
-        raise ValueError("coordinate/factor length mismatch")
-    n = 1
-    for m in factors:
-        n *= m
-    x = 0
-    for c, m in zip(coords, factors):
-        rest = n // m
-        try:
-            inv = pow(rest, -1, m)
-        except ValueError as exc:
-            raise ValueError(f"factors {factors} are not pairwise coprime") from exc
-        x = (x + (c % m) * rest * inv) % n
-    return x

@@ -10,8 +10,8 @@ is what the scale searches enumerate.
 The increment search follows the mean-cube strategy: grow frequency sets
 S_i (large coefficients of f plus halved frequencies), smooth f by the Bohr
 measure phi_i, track a_i = E[f_phi_i^3] until 2a_i - a_{i+1} >= alpha^3 -
-eps/2, then return the difference in supp(phi) \\ {0} with the largest
-per-difference density.  The returned d is an argmax, checkable against an
+eps/2, then return ``worst_difference`` of the per-difference densities on
+supp(phi) = B+B.  The returned d is an argmax, checkable against an
 exhaustive scan.
 """
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import ap_sums
-from .domains import DensityFn
+from .aps import ap_sums, worst_difference
+from .domains import GROUP, APProfile, DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
 from .fourier import convolve, dft, dft_values
 
@@ -123,18 +123,18 @@ def is_regular(b: BohrSet) -> bool:
     return bool(np.all(lhs <= rhs + 1e-9))
 
 
-def find_regular_scale(b: BohrSet, lo: float = 0.5, hi: float = 1.0) -> tuple[float, BohrSet]:
-    """Largest nu in [lo, hi] with (B)_nu regular.
+def find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
+    """Largest nu in [1/2, 1] with (B)_nu regular.
 
     Candidates are the element-induced radii in the window plus the window
     ends and gap midpoints; each candidate is checked exactly.
     """
     r = b.rho
     if r == 0:
-        return hi, dilate(b, hi)
+        return 1.0, dilate(b, 1.0)
     breaks = np.unique(b.dist) / b.n
-    breaks = breaks[(breaks >= lo * r - 1e-15) & (breaks <= hi * r + 1e-15)]
-    cand = set([lo * r, hi * r])
+    breaks = breaks[(breaks >= 0.5 * r - 1e-15) & (breaks <= r + 1e-15)]
+    cand = set([0.5 * r, r])
     cand.update(breaks.tolist())
     ordered = sorted(cand)
     for a, bb in zip(ordered, ordered[1:]):
@@ -144,7 +144,7 @@ def find_regular_scale(b: BohrSet, lo: float = 0.5, hi: float = 1.0) -> tuple[fl
         if is_regular(scaled):
             return radius / r, scaled
     raise RegularityError(
-        f"no regular scale in [{lo}, {hi}] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
+        f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
     )
 
 
@@ -160,10 +160,12 @@ def beta_measure(b: BohrSet) -> np.ndarray:
 
 
 def phi_measure(b: BohrSet) -> np.ndarray:
-    """The smoothed measure beta * beta; mean 1, support B+B."""
+    """The smoothed measure beta * beta; mean 1, exactly zero off B+B."""
     beta = beta_measure(b)
     phi = convolve(beta, beta)
-    return np.maximum(phi, 0.0)
+    # phi(s) = r n / |B|^2 with r the number of ways s = b + b', so half a
+    # representation separates zero from nonzero, far above roundoff
+    return np.where(phi > 0.5 * b.n / b.size**2, phi, 0.0)
 
 
 def smooth(fvals: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -178,39 +180,27 @@ def lambda_weighted(fvals: np.ndarray, phi: np.ndarray) -> float:
     n = len(f)
     if len(phi) != n:
         raise DomainError("weight and function sizes differ")
-    s = np.flatnonzero(np.abs(phi) > 1e-15)
+    s = np.flatnonzero(phi)
     return float(np.dot(phi[s], ap_sums(f, s))) / n**2
-
-
-def lambda_weighted_spectral(fvals: np.ndarray, phi: np.ndarray) -> float:
-    """Spectral evaluation of the weighted count (test oracle):
-    sum over r1+r2+r3=0 of fhat(r1) fhat(r2) fhat(r3) phihat(-r2-2r3)."""
-    n = len(fvals)
-    fh = dft_values(fvals)
-    ph = dft_values(phi)
-    r2 = np.arange(n, dtype=np.int64)
-    total = 0j
-    for r3 in range(n):
-        r1 = (-(r2 + r3)) % n
-        total += np.sum(fh[r1] * fh[r2] * fh[r3] * ph[(-(r2 + 2 * r3)) % n])
-    return float(total.real)
 
 
 # ---------------------------------------------------------------------------
 # scalar lemmas
 
 
-def schur_gap(a: float, b: float, c: float) -> float:
-    """a^3+b^3+c^3+3abc - (a^2 b + ab^2 + a^2 c + ac^2 + b^2 c + bc^2) >= 0."""
-    if a < 0 or b < 0 or c < 0:
+def schur_gap(a, b, c):
+    """a^3+b^3+c^3+3abc - (a^2 b + ab^2 + a^2 c + ac^2 + b^2 c + bc^2) >= 0,
+    elementwise for arrays."""
+    if min(np.min(a), np.min(b), np.min(c)) < 0:
         raise DomainError("Schur gap needs nonnegative inputs")
     lhs = a**3 + b**3 + c**3 + 3 * a * b * c
     rhs = a * a * b + b * b * a + a * a * c + c * c * a + b * b * c + c * c * b
     return lhs - rhs
 
 
-def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int:
-    """Least 1-based i with 2 a_i - a_{i+1} >= alpha^3 - eps/2.
+def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int | None:
+    """Least 1-based i with 2 a_i - a_{i+1} >= alpha^3 - eps/2, or None while
+    the prefix is no longer than the horizon.
 
     Guaranteed to exist within 2 log2(2/eps) terms when alpha^3 <= a_i <= 1;
     a miss past that horizon signals an upstream bug.
@@ -224,9 +214,7 @@ def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int:
         if 2 * seq[i - 1] - seq[i] >= alpha**3 - epsilon / 2:
             return i
     if len(seq) <= horizon:
-        raise DomainError(
-            f"no increment index in a length-{len(seq)} prefix; horizon is {horizon}"
-        )
+        return None
     raise DomainError("no increment index within the guaranteed horizon (upstream bug)")
 
 
@@ -290,7 +278,6 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
     f_phi2 = smooth(fv, phi2)
 
     # continuity of regular Bohr sets under convolution by tau = phi_2
-    supp_tau = np.flatnonzero(phi2 > 1e-12)
     tau_inside = within_half  # supp(phi2) <= B2+B2 <= (B1)_nu when B2 <= (B1)_{nu/2}
     cont_ok = reg1 and nu <= 1 / (80 * d1) and tau_inside
     note = f"reg1={reg1}, nu<=1/(80 d1)={nu <= 1 / (80 * d1)}, supp tau in (B1)_nu={tau_inside}"
@@ -334,14 +321,10 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
     rep.checks.append(LemmaCheck("counting", True, lam_s - rhs, lam_s, rhs))
 
     # Schur's inequality on smoothed value triples
-    gaps = []
-    for d in (1, 2, n // 3):
-        a = f_phi1
-        b = np.roll(f_phi1, -d)
-        c = np.roll(f_phi1, -2 * d)
-        lhs = a**3 + b**3 + c**3 + 3 * a * b * c
-        rhs_v = a * a * b + a * b * b + a * a * c + a * c * c + b * b * c + b * c * c
-        gaps.append(float((lhs - rhs_v).min()))
+    gaps = [
+        float(schur_gap(f_phi1, np.roll(f_phi1, -d), np.roll(f_phi1, -2 * d)).min())
+        for d in (1, 2, n // 3)
+    ]
     rep.checks.append(LemmaCheck("schur", True, min(gaps), min(gaps), 0.0))
 
     # mean-cube increment
@@ -439,33 +422,26 @@ def upper_search(
     rho1 = schedule(1)
     big = set(int(r) for r in np.flatnonzero(amag >= rho1 / 2))
 
-    horizon = math.ceil(2 * math.log2(2 / epsilon)) + 1
     inv2 = pow(2, -1, n)
     levels = []
     a_seq: list = []
     bohrs: list = []
-    s_prev: set = set()
+    s_i: set = set()
     chosen = None
-    for i in range(1, horizon + 1):
-        rho_i = schedule(i)
-        s_i = set(big) | {(r * inv2) % n for r in s_prev}
+    while chosen is None:  # pick_increment_index raises past its horizon
+        rho_i = schedule(len(levels) + 1)
+        s_i = big | {(r * inv2) % n for r in s_i}
         if interval_mode:
             s_i.add(1)
         b_nom = bohr_set(n, s_i, min(rho_i / (4 * math.pi), 1.0))
         _, b_i = find_regular_scale(b_nom)
-        phi_i = phi_measure(b_i)
-        a_i = float(np.mean(smooth(fv, phi_i) ** 3))
+        a_i = float(np.mean(smooth(fv, phi_measure(b_i)) ** 3))
         a_seq.append(a_i)
         bohrs.append((rho_i, b_i))
         levels.append(
             {"rho": rho_i, "S_size": len(s_i), "B_size": int(b_i.size), "mean_cube": a_i}
         )
-        s_prev = s_i
-        if i >= 2 and 2 * a_seq[i - 2] - a_seq[i - 1] >= alpha**3 - epsilon / 2:
-            chosen = i - 1
-            break
-    if chosen is None:
-        raise DomainError("increment index not found within the guaranteed horizon")
+        chosen = pick_increment_index(a_seq, alpha, epsilon)
 
     rho_c, b_c = bohrs[chosen - 1]
     if nu is None:
@@ -475,32 +451,20 @@ def upper_search(
         raise DegenerateBohrError(
             f"Bohr set collapsed to the origin at level {chosen}", level=chosen
         )
+    # 0 is in B and |B| >= 2, so B+B contains B and a nonzero difference
     phi = phi_measure(b_final)
-    # supp phi = B+B: phi(s) = r n / |B|^2 with r the number of ways s = b + b',
-    # so half a representation separates zero from nonzero, far above roundoff
-    candidates = np.flatnonzero(phi > 0.5 * n / b_final.size**2)
-    sums = ap_sums(fv, candidates)
-    lam = float(np.dot(phi[candidates], sums)) / n**2
-
-    best_d, best_val = None, -1.0
-    for d, val in zip(candidates.tolist(), (sums / n).tolist()):
-        if d != 0 and val > best_val + 1e-15:
-            best_d, best_val = d, val
-    if best_d is None:
-        raise DegenerateBohrError("no nonzero difference in supp(phi)", level=chosen)
-
-    d_out = best_d
-    bound = None
-    if interval_mode:
-        d_out = min(best_d, n - best_d)
-        bound = 2 * rho1 * n
+    support = np.flatnonzero(phi)
+    sums = ap_sums(fv, support)
+    table = np.full(n, -np.inf)
+    table[support] = sums / n
+    d, density, _ = worst_difference(APProfile(table, GROUP, n))
     return IncrementTrace(
         levels=levels,
         chosen_i=chosen,
-        lambda_phi=lam,
-        d=d_out,
-        density=best_val,
+        lambda_phi=float(np.dot(phi[support], sums)) / n**2,
+        d=d,
+        density=density,
         interval_mode=interval_mode,
-        small_d_bound=bound,
-        phi_support=candidates,
+        small_d_bound=2 * rho1 * n if interval_mode else None,
+        phi_support=support,
     )

@@ -39,7 +39,7 @@ from .errors import (
     RetriesExhausted,
 )
 from .interval import choose_interval_params, construct_interval_fn
-from .modelfn import build_model_fn, model_fn_extra
+from .modelfn import build_model_fn, model_fn_extra, verify_model_properties
 from .product import ProductParams, construct_product
 
 EXIT_OK = 0
@@ -101,8 +101,9 @@ def cmd_construct(args) -> int:
         extra = model_fn_extra(m)
         extra["meta"] = _meta(args, {"kind": "model", "alpha": args.alpha, "n": args.n})
         save_fn(m.fn, f"{args.out}.fn.json", extra)
-        _write_json(f"{args.out}.cert.json", {"kind": "model", "ok": True, "meta": extra["meta"]})
-        return EXIT_OK
+        ok = verify_model_properties(m).ok
+        _write_json(f"{args.out}.cert.json", {"kind": "model", "ok": ok, "meta": extra["meta"]})
+        return EXIT_OK if ok else EXIT_VERIFY
     if args.kind == "behrend":
         s = apfree_set(args.n)
         ok = is_apfree(s)

@@ -25,6 +25,7 @@ File formats (used by the CLI and by every construction artifact):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,9 +88,7 @@ class DomainDesc:
             for m in fac:
                 if not is_prime(m):
                     raise DomainError(f"product factor {m} is not prime")
-            prod = 1
-            for m in fac:
-                prod *= m
+            prod = math.prod(fac)
             if prod != self.n:
                 raise DomainError(f"factors {fac} multiply to {prod}, not n={self.n}")
             object.__setattr__(self, "factors", fac)
@@ -107,10 +106,7 @@ def cyclic(n: int) -> DomainDesc:
 
 def product(factors) -> DomainDesc:
     fac = tuple(int(m) for m in factors)
-    n = 1
-    for m in fac:
-        n *= m
-    return DomainDesc(PRODUCT, n, fac)
+    return DomainDesc(PRODUCT, math.prod(fac), fac)
 
 
 def interval(n: int) -> DomainDesc:
@@ -214,6 +210,8 @@ def fn_from_dict(obj: dict) -> tuple[DensityFn, dict]:
         raise FileFormatError(f"not a function file: missing {exc}") from exc
     if not _is_int(n):
         raise FileFormatError(f"domain size 'n' must be an integer, got {n!r}")
+    if kind == PRODUCT and not all(_is_int(m) for m in factors):
+        raise FileFormatError(f"product factors must be integers, got {list(factors)!r}")
     desc = DomainDesc(kind, n, factors if kind == PRODUCT else ())
     try:
         f = DensityFn(desc, np.asarray(values, dtype=np.float64))

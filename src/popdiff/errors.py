@@ -43,7 +43,3 @@ class DegenerateBohrError(PopdiffError, RuntimeError):
 
 class RegularityError(PopdiffError, RuntimeError):
     """No regular scale was found where one is guaranteed to exist."""
-
-
-class SmoothSamplingError(PopdiffError, RuntimeError):
-    """Rejection sampling for a smooth coefficient tuple ran out of tries."""

@@ -19,8 +19,6 @@ import numpy as np
 from .domains import CYCLIC, PRODUCT, DensityFn, Spectrum
 from .errors import DomainError
 
-_IMAG_TOL = 1e-7
-
 
 def raw_transform(vec, sign: int) -> np.ndarray:
     """sum_x vec[x] e(sign * x r / n) for every r, any length n."""
@@ -48,13 +46,6 @@ def idft(spec: Spectrum | np.ndarray) -> np.ndarray:
     """Inverse transform; returns the complex value vector."""
     coeffs = spec.coeffs if isinstance(spec, Spectrum) else np.asarray(spec)
     return raw_transform(coeffs, -1)
-
-
-def idft_real(spec) -> np.ndarray:
-    vals = idft(spec)
-    if np.abs(vals.imag).max() > _IMAG_TOL:
-        raise DomainError("inverse transform of a non-conjugate-symmetric spectrum")
-    return vals.real
 
 
 def convolve(fv, gv) -> np.ndarray:

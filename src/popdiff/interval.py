@@ -28,6 +28,10 @@ from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .product import ProductParams, construct_product
 
+# the absolute density threshold alpha_0: strict mode needs alpha <= ALPHA0, and
+# the overlay's low-AP subset is built at a mean of at most ALPHA0
+ALPHA0 = 0.1
+
 
 @dataclass
 class IntervalParams:
@@ -40,7 +44,6 @@ class IntervalParams:
     factors: tuple  # factors of q
     n_prime: int  # N' = p*q
     beta: float  # exact tail fraction 1 - N'/N
-    alpha0: float = 0.1
     notes: list = field(default_factory=list)
 
     @property
@@ -60,7 +63,6 @@ def choose_interval_params(
     epsilon: float,
     mode: str = "desk",
     factors: tuple | None = None,
-    alpha0: float = 0.1,
     beta_floor: float | None = None,
 ) -> IntervalParams:
     """Pick the tail fraction, the modulus q and the class count p = N'/q.
@@ -84,8 +86,8 @@ def choose_interval_params(
             )
         if epsilon > alpha**7:
             raise InfeasibleError(f"epsilon={epsilon} violates epsilon <= alpha^7 = {alpha**7:.3g}")
-        if alpha > alpha0:
-            raise InfeasibleError(f"alpha={alpha} exceeds alpha0={alpha0}")
+        if alpha > ALPHA0:
+            raise InfeasibleError(f"alpha={alpha} exceeds alpha0={ALPHA0}")
         beta_cap = epsilon**2
         q_lo = n_total**0.2
         q_hi = math.sqrt(beta_cap * alpha**3 * (1 - epsilon) * n_total)
@@ -146,7 +148,6 @@ def choose_interval_params(
         factors=fac,
         n_prime=n_prime,
         beta=1 - n_prime / n_total,
-        alpha0=alpha0,
         notes=notes + [f"modulus window ({q_lo:.4g}, {q_hi:.4g}), tail cap {beta_cap:.4g}"],
     )
 
@@ -155,10 +156,7 @@ def _modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors):
     """Moduli q (with factorizations) admissible for the product side."""
     if factors is not None:
         fac = tuple(int(m) for m in factors)
-        q = 1
-        for m in fac:
-            q *= m
-        return [(q, fac)]
+        return [(math.prod(fac), fac)]
     # single-factor moduli: the base profile needs (3q-1)/(q-1)^3 >= eps_prod
     out = []
     q = max(5, int(q_lo) | 1)
@@ -335,7 +333,7 @@ def construct_interval_fn(
             prod_params, seed=seed + 7919 * p_try, max_retries_per_level=product_level_retries
         )
         f2 = step1_step2_tile(params, g_fn)
-        x_set = low_ap_density_subset(params.p, min(_common_value(g_fn), params.alpha0))
+        x_set = low_ap_density_subset(params.p, min(_common_value(g_fn), ALPHA0))
         for o_try in range(max_overlay_retries):
             overlay_used += 1
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, p_try, o_try]))

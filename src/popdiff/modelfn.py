@@ -1,5 +1,5 @@
-"""The low-3-AP model function on prime cyclic groups, and smoothness
-certificates for tuples of dilation coefficients.
+"""The low-3-AP model function on prime cyclic groups and the check of its
+defining moments.
 
 The model function with mean alpha on Z_n is
 
@@ -24,13 +24,12 @@ forces E_x[prod_j g(a_j x + b_j)] = alpha^h for every shift tuple b.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import DensityFn, Spectrum, cyclic, is_prime
-from .errors import DomainError, SmoothSamplingError
+from .errors import DomainError
 
 SECOND_MOMENT_FACTOR = 5 / 4
 CUBE_MOMENT_FACTOR = 53 / 32
@@ -82,57 +81,6 @@ def build_model_fn(alpha: float, n: int) -> ModelFn:
 def model_fn_extra(m: ModelFn) -> dict:
     """Sidecar block for the function file format."""
     return {"model": {"alpha": float(m.alpha), "n": int(m.n)}}
-
-
-# ---------------------------------------------------------------------------
-# smoothness certificates
-
-
-@dataclass
-class SmoothnessCert:
-    h: int
-    a: tuple
-    supp: tuple
-    ok: bool
-    witness: tuple | None = None
-
-
-def smooth_tuple_ok(supp, a, n: int) -> SmoothnessCert:
-    """Exhaustively certify a dilation tuple against a frequency support.
-
-    Enumerates supp^h (fine for |supp| <= 5, h <= 3) and reports the first
-    nonzero relation sum r_j a_j = 0 (mod n) as a witness if one exists.
-    """
-    a = tuple(int(v) % n for v in a)
-    if any(v == 0 for v in a):
-        raise DomainError("dilation coefficients must be nonzero")
-    supp = tuple(int(r) % n for r in supp)
-    h = len(a)
-    if len(supp) ** h > 10**6:
-        raise DomainError("support/tuple enumeration too large")
-    for rvec in itertools.product(supp, repeat=h):
-        if all(r == 0 for r in rvec):
-            continue
-        if sum(r * av for r, av in zip(rvec, a)) % n == 0:
-            return SmoothnessCert(h, a, supp, False, witness=rvec)
-    return SmoothnessCert(h, a, supp, True)
-
-
-def sample_smooth_tuple(
-    h: int, n: int, supp, rng: np.random.Generator, max_tries: int = 64
-) -> tuple[tuple, SmoothnessCert]:
-    """Rejection-sample a smooth tuple of h nonzero dilations."""
-    if max_tries < 1:
-        raise DomainError("max_tries must be at least 1")
-    for _ in range(max_tries):
-        a = tuple(int(v) for v in rng.integers(1, n, size=h))
-        cert = smooth_tuple_ok(supp, a, n)
-        if cert.ok:
-            return a, cert
-    raise SmoothSamplingError(
-        f"no smooth {h}-tuple found in {max_tries} tries over Z_{n}; "
-        f"n is too small for this support"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from .modelfn import build_model_fn, model_support
 
 STRICT_EPS_MAX = 20.0**-9
 
+_MAX_VIOLATIONS = 20  # violations a level verdict lists
+
 _ALPHA_PRIME_TOL = 1e-12
 
 
@@ -57,7 +59,6 @@ class ProductParams:
     factors: tuple
     mode: str = "desk"  # "strict" | "desk"
     mu: tuple | None = None  # override; default from mu_schedule
-    tower_c: float | None = None  # informational constant for the feasibility report
 
     def __post_init__(self):
         self.factors = tuple(int(m) for m in self.factors)
@@ -153,22 +154,6 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
 
     s_max = math.log(eps**-0.25 * a**6 / 8, 150) if eps > 0 else math.inf
     rep.add("level-count", s <= s_max, f"s={s} vs log150(eps^-1/4 alpha^6 / 8)={s_max:.4g}")
-
-    if params.tower_c is not None:
-        n = 1
-        for m in fac:
-            n *= m
-        from .aps import tower
-
-        bound_h = params.tower_c * math.log2(1 / eps)
-        ok = n <= tower(max(0, int(bound_h)))
-        rep.checks.append(
-            FeasibilityCheck(
-                "tower-scale (informational)",
-                "pass" if ok else "waived",
-                f"n={n} vs tower({params.tower_c}*log2(1/eps)={bound_h:.3g})",
-            )
-        )
     return rep
 
 
@@ -193,10 +178,7 @@ class LevelState:
 
     @property
     def n(self) -> int:
-        out = 1
-        for m in self.factors:
-            out *= m
-        return out
+        return math.prod(self.factors)
 
     @property
     def m_set_size(self) -> int:
@@ -347,7 +329,7 @@ class LevelVerdict:
     violations: list  # first few (d, density)
 
 
-def verify_level(state: LevelState, epsilon: float, max_report: int = 20) -> LevelVerdict:
+def verify_level(state: LevelState, epsilon: float) -> LevelVerdict:
     """Exhaustive check that every nonzero difference has density at most
     alpha^3 (1 - epsilon), by ``worst_difference``."""
     target = state.alpha**3 * (1 - epsilon)
@@ -359,7 +341,7 @@ def verify_level(state: LevelState, epsilon: float, max_report: int = 20) -> Lev
         target=target,
         max_offdiag=worst,
         argmax_d=arg,
-        violations=[(int(d), float(table[d])) for d in bad[:max_report]],
+        violations=[(int(d), float(table[d])) for d in bad[:_MAX_VIOLATIONS]],
     )
 
 

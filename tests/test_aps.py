@@ -1,4 +1,4 @@
-"""Per-difference and total density engines, tower, coordinates."""
+"""Per-difference and total density engines and the worst-difference rule."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,10 @@ from popdiff.aps import (
     _pair_sums,
     ap_profile,
     ap_sums,
-    from_coords,
     per_diff_density,
     perdiff_table_sparse,
     sparse_error_bound,
-    to_coords,
     total_3ap_density,
-    tower,
-    tower_height,
     worst_difference,
 )
 from popdiff.domains import GROUP, OVER_N, OVER_WINDOW, APProfile, DensityFn, cyclic, interval
@@ -271,33 +267,3 @@ def test_spectral_backend_within_error_bound(n, freqs, seed):
         sparse = perdiff_table_sparse(spec)
     exact = np.asarray(brute_sums(f.values.tolist(), True)) / n
     assert np.abs(sparse - exact).max() <= bound + 1e-12
-
-
-def test_tower():
-    assert tower(0) == 1
-    assert tower(3) == 16
-    assert tower(4) == 65536
-    assert tower_height(10**6) == 5
-    assert tower_height(1) == 0
-    assert tower_height(65536) == 4
-
-
-def test_coords_roundtrip():
-    assert to_coords(7, (3, 5)) == (1, 2)
-    assert from_coords((0, 0), (3, 5)) == 0
-    factors = (5, 15629)
-    n = 5 * 15629
-    rng = np.random.default_rng(4)
-    xs = rng.integers(0, n, size=1000)
-    ys = rng.integers(0, n, size=1000)
-    for x, y in zip(xs, ys):
-        x, y = int(x), int(y)
-        assert from_coords(to_coords(x, factors), factors) == x
-        cx, cy = to_coords(x, factors), to_coords(y, factors)
-        summed = tuple((a + b) % m for a, b, m in zip(cx, cy, factors))
-        assert from_coords(summed, factors) == (x + y) % n
-
-
-def test_coords_noncoprime():
-    with pytest.raises(ValueError):
-        from_coords((1, 1), (4, 6))

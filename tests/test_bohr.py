@@ -1,8 +1,13 @@
 """Bohr sets, regularity, the inequality suite, and the increment search."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import lambda_weighted_spectral
 from popdiff.aps import per_diff_density, total_3ap_density
 from popdiff.bohr import (
     BohrSet,
@@ -15,7 +20,6 @@ from popdiff.bohr import (
     inequality_suite,
     is_regular,
     lambda_weighted,
-    lambda_weighted_spectral,
     phi_measure,
     pick_increment_index,
     schur_gap,
@@ -71,18 +75,26 @@ def test_bohr_basic_invariants():
                     assert (int(x) + int(y)) % n in el2
 
 
-def test_double_is_dilation_image():
-    b = bohr_set(101, {1}, 0.1)
-    img = np.unique((2 * b.elements) % 101)
-    assert np.array_equal(np.sort(double(b).elements), img)
-    lhs = np.sort(dilate(double(b), 0.5).elements)
-    rhs = np.unique((2 * dilate(b, 0.5).elements) % 101)
+odd_n = st.integers(1, 600).map(lambda k: 2 * k + 1)
+frequencies = st.lists(st.integers(0, 10**6), min_size=1, max_size=3)
+unit = st.floats(0.0, 1.0)
+
+
+@given(n=odd_n, freqs=frequencies, rho=unit, nu=unit)
+def test_double_is_dilation_image(n, freqs, rho, nu):
+    b = bohr_set(n, freqs, rho)
+    assert np.array_equal(np.sort(double(b).elements), np.unique((2 * b.elements) % n))
+    lhs = np.sort(dilate(double(b), nu).elements)
+    rhs = np.unique((2 * dilate(b, nu).elements) % n)
     assert np.array_equal(lhs, rhs)
 
 
-def test_dilate_identity():
-    b = bohr_set(101, {3, 7}, 0.2)
+@given(n=odd_n, freqs=frequencies, rho=unit, nu1=unit, nu2=unit)
+def test_dilate_identity(n, freqs, rho, nu1, nu2):
+    b = bohr_set(n, freqs, rho)
     assert np.array_equal(dilate(b, 1.0).elements, b.elements)
+    small, large = dilate(b, min(nu1, nu2)), dilate(b, max(nu1, nu2))
+    assert np.isin(small.elements, large.elements).all()
 
 
 def test_regularity_golden_and_scale():
@@ -121,19 +133,18 @@ def test_lambda_weighted_point_mass_and_spectral():
 
 
 def test_sumset_matches_unique_reference():
-    # upper_search reads B+B as {phi > n / (2 |B|^2)}: half a representation
+    # phi_measure is exactly zero off B+B, so its nonzeros are the sumset
     rng = np.random.default_rng(13)
     for n in (1, 7, 101, 1009):
         for size in sorted({1, min(2, n), max(1, n // 3), n}):
             a = np.sort(rng.choice(n, size=size, replace=False))
             ref = np.unique((a[:, None] + a[None, :]) % n)
             phi = phi_measure(BohrSet(n, (), 0.0, np.zeros(n, dtype=np.int64), a))
-            assert np.array_equal(np.flatnonzero(phi > 0.5 * n / size**2), ref)
+            assert np.array_equal(np.flatnonzero(phi), ref)
     for freqs, rho in (({3}, 0.05), ({5, 17}, 0.2), ({1, 2, 40}, 0.3)):
         b = bohr_set(1009, freqs, rho)
         ref = np.unique((b.elements[:, None] + b.elements[None, :]) % 1009)
-        phi = phi_measure(b)
-        assert np.array_equal(np.flatnonzero(phi > 0.5 * 1009 / b.size**2), ref)
+        assert np.array_equal(np.flatnonzero(phi_measure(b)), ref)
     # a search whose final Bohr set is {0, 1, -1}, not Z_n: supp phi = {0, +-1, +-2}
     f = build_model_fn(0.3, 1009).fn
     tr = upper_search(f, 0.005, schedule=geometric_schedule(0.1, 0.5), nu=0.5)
@@ -147,8 +158,14 @@ def test_schur():
     for _ in range(10**4):
         a, b, c = rng.uniform(0, 1, 3)
         assert schur_gap(a, b, c) >= -1e-12
+    a, b, c = rng.uniform(0, 1, (3, 100))
+    gaps = schur_gap(a, b, c)
+    assert gaps.shape == (100,) and gaps.min() >= -1e-12
+    assert gaps[7] == schur_gap(a[7], b[7], c[7])
     with pytest.raises(DomainError):
         schur_gap(-1, 0, 0)
+    with pytest.raises(DomainError):
+        schur_gap(a, b - 2, c)
 
 
 def test_pick_increment_index():
@@ -163,13 +180,13 @@ def test_pick_increment_index():
     seq.append(1.0)
     idx = pick_increment_index(seq, alpha, eps)
     assert idx >= 2
-    import math
-
     assert idx <= math.ceil(2 * math.log2(2 / eps)) + 1
     # any dip qualifies immediately
     assert pick_increment_index([a3 + 0.2, a3 + 0.1], alpha, eps) == 1
+    assert pick_increment_index([a3], alpha, eps) is None  # too short, no hit
+    # past the horizon (1 at eps = 1.9) a miss is an error
     with pytest.raises(DomainError):
-        pick_increment_index([a3], alpha, eps)  # too short, no hit
+        pick_increment_index([a3, 0.99], alpha, 1.9)
 
 
 def test_suite_trivial_constant():
@@ -227,6 +244,22 @@ def test_upper_search_matches_argmax_oracle():
         # total density
         assert len(tr.phi_support) == 1009
         assert abs(tr.lambda_phi - total_3ap_density(f)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.3])
+@pytest.mark.parametrize("n, rho0, sumset_size", [(1009, 0.1, 5), (4093, 0.1, 17), (4093, 0.05, 9)])
+def test_upper_search_not_collapsed(alpha, n, rho0, sumset_size):
+    # alpha^3 - eps > 0 here, so the bound check can fail, and B+B is not Z_n
+    eps = 0.005
+    f = build_model_fn(alpha, n).fn
+    tr = upper_search(f, eps, schedule=geometric_schedule(rho0, 0.5), nu=0.5)
+    assert len(tr.phi_support) == sumset_size < n
+    dens = {int(d): per_diff_density(f, int(d)) for d in tr.phi_support if d != 0}
+    best = max(dens.values())
+    ties = [min(d, n - d) for d, val in dens.items() if val >= best - 1e-15]
+    assert tr.d == min(ties)
+    assert abs(tr.density - best) < 1e-15
+    assert tr.density >= alpha**3 - eps > 0
 
 
 def test_upper_search_strict_schedule_smoke():

@@ -53,6 +53,18 @@ def test_removed_options_exit_2(argv):
     assert exc.value.code == 2
 
 
+def test_construct_model_certificate_checks_properties(tmp_path, monkeypatch):
+    from popdiff import cli
+    from popdiff.modelfn import ModelReport, PropertyCheck
+
+    failing = ModelReport(0.25, 101, [PropertyCheck("mean", False, 0.3, 0.25, 1e-9)])
+    monkeypatch.setattr(cli, "verify_model_properties", lambda m: failing)
+    out = tmp_path / "g"
+    assert main(["construct", "--kind", "model", "--alpha", "0.25", "--n", "101",
+                 "--out", str(out)]) == 1
+    assert json.loads(Path(f"{out}.cert.json").read_text())["ok"] is False
+
+
 def test_construct_behrend(tmp_path):
     out = tmp_path / "b"
     assert main(["construct", "--kind", "behrend", "--n", "27", "--out", str(out)]) == 0
@@ -127,15 +139,21 @@ def test_verify_malformed_set_artifact(tmp_path, capsys, artifact):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["scan", "verify"])
-@pytest.mark.parametrize("size", ["7", True, 7.5])
-def test_function_file_non_integer_size(tmp_path, capsys, command, size):
-    # the value count matches int(size), so only the type of "n" is wrong
+@pytest.mark.parametrize("command", ["scan", "verify", "upper"])
+@pytest.mark.parametrize(
+    "domain",
+    [pytest.param({"kind": "cyclic", "n": n}, id=str(n)) for n in ("7", True, 7.5)]
+    + [pytest.param({"kind": "product", "n": 15, "factors": [m, 5]}, id=f"factor-{m}")
+       for m in ("a", None, 3.5, True)],
+)
+def test_function_file_non_integer_size(tmp_path, capsys, command, domain):
+    # the value count matches the intended size, so only a type is wrong
     path = tmp_path / "f.json"
-    path.write_text(json.dumps({"domain": {"kind": "cyclic", "n": size},
-                                "values": [0.25] * int(size)}))
+    path.write_text(json.dumps({"domain": domain, "values": [0.25] * int(domain["n"])}))
     argv = {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
-            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"]}[command]
+            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"],
+            "upper": ["upper", "--in", str(path), "--epsilon", "0.05", "--out",
+                      str(tmp_path / "t")]}[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -5,7 +5,7 @@ import pytest
 
 from popdiff.domains import DensityFn, cyclic, interval
 from popdiff.errors import DomainError
-from popdiff.fourier import convolve, dft, dft_values, idft_real
+from popdiff.fourier import convolve, dft, dft_values, idft
 
 
 def naive_dft(values):
@@ -57,8 +57,9 @@ def test_roundtrip():
     rng = np.random.default_rng(2)
     for n in (65, 101, 4099):
         v = rng.uniform(0, 1, n)
-        back = idft_real(dft(DensityFn(cyclic(n), v)))
-        assert np.abs(back - v).max() < 1e-9
+        back = idft(dft(DensityFn(cyclic(n), v)))
+        assert np.abs(back.imag).max() < 1e-9
+        assert np.abs(back.real - v).max() < 1e-9
 
 
 def test_constant_function_spectrum():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from popdiff.aps import total_3ap_density
-from popdiff.errors import DomainError, SmoothSamplingError
+from oracles import smooth_tuple_ok
+from popdiff.errors import DomainError
 from popdiff.fourier import dft
 from popdiff.modelfn import (
     CUBE_MOMENT_FACTOR,
@@ -14,8 +15,6 @@ from popdiff.modelfn import (
     TRIPLE_DENSITY_FACTOR,
     build_model_fn,
     model_support,
-    sample_smooth_tuple,
-    smooth_tuple_ok,
     verify_model_properties,
 )
 
@@ -69,14 +68,17 @@ def test_rejects_bad_parameters():
 def test_smooth_h1_always_ok():
     supp = model_support(101)
     for a1 in (1, 5, 100):
-        assert smooth_tuple_ok(supp, (a1,), 101).ok
+        assert smooth_tuple_ok(supp, (a1,), 101)[0]
 
 
 def test_smooth_pair_witness():
-    cert = smooth_tuple_ok(model_support(101), (1, 1), 101)
-    assert not cert.ok
-    r1, r2 = cert.witness
+    ok, (r1, r2) = smooth_tuple_ok(model_support(101), (1, 1), 101)
+    assert not ok
     assert (r1 * 1 + r2 * 1) % 101 == 0 and (r1, r2) != (0, 0)
+    # exhaustive fact: every pair of nonzero dilations over Z_7 admits a
+    # support relation
+    for a in itertools.product(range(1, 7), repeat=2):
+        assert not smooth_tuple_ok(model_support(7), a, 7)[0]
 
 
 def test_smooth_rejects_zero_dilation():
@@ -104,32 +106,6 @@ def test_smooth_failure_frequency():
     assert p_hat <= p_bound + 3 * sigma
 
 
-def test_sample_smooth_tuple_deterministic_and_fast():
-    n = 15629
-    supp = model_support(n)
-    rng = np.random.default_rng(42)
-    a, cert = sample_smooth_tuple(3, n, supp, rng)
-    assert cert.ok
-    rng2 = np.random.default_rng(42)
-    a2, _ = sample_smooth_tuple(3, n, supp, rng2)
-    assert a == a2
-    # h=1 never needs a retry: one nonzero dilation cannot satisfy a relation
-    for seed in range(20):
-        a, cert = sample_smooth_tuple(1, n, supp, np.random.default_rng(seed), max_tries=1)
-        assert cert.ok
-
-
-def test_sample_smooth_tuple_impossible_at_7():
-    # exhaustive fact: every pair of nonzero dilations over Z_7 admits a
-    # support relation, so h >= 2 sampling must exhaust its tries
-    n = 7
-    supp = model_support(n)
-    for a in itertools.product(range(1, n), repeat=2):
-        assert not smooth_tuple_ok(supp, a, n).ok
-    with pytest.raises(SmoothSamplingError):
-        sample_smooth_tuple(2, n, supp, np.random.default_rng(0), max_tries=30)
-
-
 def test_smooth_conclusion_b_sweep():
     # verdict true => E_x[prod g(a_j x + b_j)] = alpha^h for ALL shifts;
     # corners plus seeded random shift tuples
@@ -138,8 +114,8 @@ def test_smooth_conclusion_b_sweep():
     m = build_model_fn(alpha, n)
     supp = model_support(n)
     rng = np.random.default_rng(7)
-    a, cert = sample_smooth_tuple(3, n, supp, rng)
-    assert cert.ok
+    a = tuple(int(v) for v in rng.integers(1, n, size=3))
+    assert smooth_tuple_ok(supp, a, n)[0]
     x = np.arange(n)
     sweeps = [(0, 0, 0), (n - 1, n - 1, n - 1)]
     sweeps += [tuple(int(v) for v in rng.integers(0, n, 3)) for _ in range(100)]
