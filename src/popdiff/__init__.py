@@ -7,6 +7,18 @@ for the density-increment search, and verifies every construction by
 exhaustive scan.
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread at import that spins before it
+# sleeps, about 75 ms of CPU per process, and popdiff makes no BLAS call; so a
+# process starts single-threaded unless numpy is already loaded or the user
+# has chosen a thread count
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .aps import ap_profile, per_diff_density, total_3ap_density

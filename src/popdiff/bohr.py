@@ -174,14 +174,25 @@ def smooth(fvals: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, None)
 
 
+def _support_sums(fvals: np.ndarray, phi: np.ndarray) -> tuple:
+    """(supp phi, S(s) for s in supp phi); a support that is all of Z_n takes
+    the full table, which mirrors S(n-d) = S(d) or counts support pairs."""
+    s = np.flatnonzero(phi)
+    return s, ap_sums(fvals, None if s.size == len(fvals) else s)
+
+
+def _weighted(phi: np.ndarray, s: np.ndarray, sums: np.ndarray) -> float:
+    """sum_s phi(s) S(s) / n^2, summed exactly by fsum rather than by a BLAS
+    dot product, whose rounding depends on the BLAS thread count."""
+    return math.fsum(phi[s] * sums) / len(phi) ** 2
+
+
 def lambda_weighted(fvals: np.ndarray, phi: np.ndarray) -> float:
     """E_{x,d}[f(x) f(x+d) f(x+2d) phi(d)] = sum_{s in supp phi} phi(s) S(s) / n^2."""
     f = np.asarray(fvals, dtype=np.float64)
-    n = len(f)
-    if len(phi) != n:
+    if len(phi) != len(f):
         raise DomainError("weight and function sizes differ")
-    s = np.flatnonzero(phi)
-    return float(np.dot(phi[s], ap_sums(f, s))) / n**2
+    return _weighted(phi, *_support_sums(f, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +388,7 @@ class IncrementTrace:
     lambda_phi: float
     d: int
     density: float
+    collapsed: bool  # every level's B and the final B+B are Z_n: an exhaustive argmax
     interval_mode: bool = False
     small_d_bound: float | None = None
     phi_support: np.ndarray | None = None  # in-memory only; lets oracles replay the argmax
@@ -388,6 +400,7 @@ class IncrementTrace:
             "lambda_phi": float(self.lambda_phi),
             "d": int(self.d),
             "density": float(self.density),
+            "collapsed": bool(self.collapsed),
         }
         if self.interval_mode:
             out["interval_mode"] = True
@@ -453,17 +466,17 @@ def upper_search(
         )
     # 0 is in B and |B| >= 2, so B+B contains B and a nonzero difference
     phi = phi_measure(b_final)
-    support = np.flatnonzero(phi)
-    sums = ap_sums(fv, support)
+    support, sums = _support_sums(fv, phi)
     table = np.full(n, -np.inf)
     table[support] = sums / n
     d, density, _ = worst_difference(APProfile(table, GROUP, n))
     return IncrementTrace(
         levels=levels,
         chosen_i=chosen,
-        lambda_phi=float(np.dot(phi[support], sums)) / n**2,
+        lambda_phi=_weighted(phi, support, sums),
         d=d,
         density=density,
+        collapsed=support.size == n and all(lv["B_size"] == n for lv in levels),
         interval_mode=interval_mode,
         small_d_bound=2 * rho1 * n if interval_mode else None,
         phi_support=support,

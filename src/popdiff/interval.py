@@ -333,7 +333,14 @@ def construct_interval_fn(
             prod_params, seed=seed + 7919 * p_try, max_retries_per_level=product_level_retries
         )
         f2 = step1_step2_tile(params, g_fn)
-        x_set = low_ap_density_subset(params.p, min(_common_value(g_fn), ALPHA0))
+        alpha_star = _common_value(g_fn)
+        x_set = low_ap_density_subset(params.p, min(alpha_star, ALPHA0))
+        if alpha_star > x_set.density * (1 + 1e-12):
+            # a subset asked for at alpha* <= ALPHA0 always reaches alpha*
+            raise InfeasibleError(
+                f"common value alpha*={alpha_star:.4g} exceeds alpha0={ALPHA0} and the "
+                f"density {x_set.density:.4g} of the overlay's low-AP subset; lower alpha"
+            )
         for o_try in range(max_overlay_retries):
             overlay_used += 1
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, p_try, o_try]))

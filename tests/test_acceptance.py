@@ -261,6 +261,7 @@ def test_acceptance_7_upper_search_batch():
         v *= alpha / v.mean()
         f = DensityFn(cyclic(n), np.clip(v, 0, 1))
         tr = upper_search(f, 0.05, schedule=sched)
+        assert tr.collapsed  # only frequency 0 is large, so every B is Z_n
         best_d, best = None, -1.0
         for d in sorted(int(x) for x in tr.phi_support):
             if d == 0:

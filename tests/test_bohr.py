@@ -254,6 +254,7 @@ def test_upper_search_not_collapsed(alpha, n, rho0, sumset_size):
     f = build_model_fn(alpha, n).fn
     tr = upper_search(f, eps, schedule=geometric_schedule(rho0, 0.5), nu=0.5)
     assert len(tr.phi_support) == sumset_size < n
+    assert not tr.collapsed and tr.to_dict()["collapsed"] is False
     dens = {int(d): per_diff_density(f, int(d)) for d in tr.phi_support if d != 0}
     best = max(dens.values())
     ties = [min(d, n - d) for d, val in dens.items() if val >= best - 1e-15]

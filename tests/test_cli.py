@@ -191,6 +191,16 @@ def readme_cli_commands():
     return commands
 
 
+def test_construct_interval_exit_codes(tmp_path, capsys):
+    # at the default alpha the common value exceeds alpha0 and the overlay's
+    # low-AP subset is too sparse to carry it: infeasible, not malformed
+    argv = ["construct", "--kind", "interval", "--epsilon", "1e-3", "--n", "20000",
+            "--seed", "42"]
+    assert main(argv + ["--alpha", "0.25", "--out", str(tmp_path / "a")]) == 4
+    assert "alpha0=0.1" in capsys.readouterr().err
+    assert main(argv + ["--alpha", "0.1", "--out", str(tmp_path / "b")]) == 3
+
+
 def test_readme_cli_block(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = readme_cli_commands()
