@@ -26,7 +26,7 @@ from .domains import (
     Spectrum,
 )
 from .errors import DomainError
-from .fourier import dft
+from .fourier import dft, idft
 
 # sparse profile path is worthwhile when the support is this small
 _SPARSE_LIMIT = lambda n: max(8, int(np.sqrt(n)))
@@ -43,6 +43,12 @@ _PAIR_BLOCK = 1 << 18
 _PAIR_CROSSOVER = 0.2
 
 VERDICT_SLACK = 1e-12  # a verdict passes a density up to target + VERDICT_SLACK
+
+
+def within(value, target):
+    """value <= target + VERDICT_SLACK, elementwise on arrays: the comparison
+    behind every verdict, and the one reader of the slack."""
+    return value <= target + VERDICT_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +172,7 @@ def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
         w = c[r1] * c[r2] * c[r3]
         k = (r2 + 2 * r3) % n
         amp += np.bincount(k, w.real, n) + 1j * np.bincount(k, w.imag, n)
-    return np.fft.fft(amp).real
+    return idft(amp).real
 
 
 def sparse_error_bound(values: np.ndarray, spectrum: Spectrum) -> float:
@@ -222,7 +228,7 @@ def worst_difference(prof: APProfile, target: float = np.inf) -> tuple:
     A group takes max(t[d], t[n-d]) over 1 <= d <= (n-1)/2 (d and -d are one
     difference) and an interval 1 <= d <= (N-1)/2; d is the smallest maximiser,
     (None, None, True) means there is no nonzero d, and passed is
-    density <= target + VERDICT_SLACK."""
+    ``within(density, target)``."""
     t = prof.densities[1:]
     if prof.normalization == GROUP:
         t = np.maximum(t[: prof.n // 2], t[::-1][: prof.n // 2])  # t[d-1] vs t[n-d-1]
@@ -230,5 +236,5 @@ def worst_difference(prof: APProfile, target: float = np.inf) -> tuple:
         return None, None, True
     k = int(t.argmax())
     worst = float(t[k])
-    return k + 1, worst, worst <= target + VERDICT_SLACK
+    return k + 1, worst, within(worst, target)
 

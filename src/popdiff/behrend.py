@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aps import VERDICT_SLACK, ap_sums
+from .aps import ap_sums, within
 from .domains import DensityFn, cyclic
 from .errors import DomainError, InfeasibleError
 
@@ -173,7 +173,7 @@ class LowAPSubset:
 
     @property
     def ok(self) -> bool:
-        return self.density > 0 and self.ap_density <= self.bound + VERDICT_SLACK
+        return self.density > 0 and within(self.ap_density, self.bound)
 
     def to_dict(self) -> dict:
         return {

@@ -127,10 +127,11 @@ def find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
     """Largest nu in [1/2, 1] with (B)_nu regular.
 
     Candidates are the element-induced radii in the window plus the window
-    ends and gap midpoints; each candidate is checked exactly.
+    ends and gap midpoints; each candidate is checked exactly.  Radius 0, or
+    no frequency (B(emptyset, rho) = Z_n), is regular at every scale: nu = 1.
     """
     r = b.rho
-    if r == 0:
+    if r == 0 or not b.freqs:
         return 1.0, dilate(b, 1.0)
     breaks = np.unique(b.dist) / b.n
     breaks = breaks[(breaks >= 0.5 * r - 1e-15) & (breaks <= r + 1e-15)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,9 +28,9 @@ from .domains import (
     _is_int,
     cyclic,
     fn_from_dict,
+    fn_to_dict,
     interval,
     load_fn,
-    save_fn,
 )
 from .errors import (
     DegenerateBohrError,
@@ -44,10 +45,20 @@ from .product import ProductParams, construct_product
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_PARSE = 2
-EXIT_RETRIES = 3
-EXIT_INFEASIBLE = 4
-EXIT_DEGENERATE = 5
+
+# an error exits with the code of the first row whose class it is an instance
+# of, so the PopdiffError catch-all comes after its subclasses; argparse exits
+# 2 on a bad flag by itself
+EXIT_CODES = (
+    (RetriesExhausted, 3),
+    (InfeasibleError, 4),
+    (DegenerateBohrError, 5),
+    (PopdiffError, 2),
+    (json.JSONDecodeError, 2),
+    (OSError, 2),
+)
+
+NORM_FLAGS = {"over-n": OVER_N, "over-window": OVER_WINDOW}
 
 
 def _meta(args, params: dict) -> dict:
@@ -64,20 +75,13 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _normalization(f: DensityFn, flag: str | None) -> str | None:
-    if f.domain.is_group:
-        return None
-    return {None: OVER_WINDOW, "over-n": OVER_N, "over-window": OVER_WINDOW}.get(flag, flag)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_scan(args) -> int:
     f, _ = load_fn(args.infile)
-    norm = _normalization(f, args.norm)
-    prof = ap_profile(f, normalization=norm)
+    prof = ap_profile(f, normalization=NORM_FLAGS[args.norm])
     prof.to_csv(f"{args.out}.csv")
     worst_d, worst, _ = worst_difference(prof)
     summary = {
@@ -94,70 +98,45 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args) -> int:
-    seed = args.seed
+def _construction(args) -> tuple:
+    """(params, artifact, certificate body, ok) of one construct kind; the
+    artifact is a function file or a set artifact."""
+    alpha, n = args.alpha, args.n
     if args.kind == "model":
-        m = build_model_fn(args.alpha, args.n)
-        extra = model_fn_extra(m)
-        extra["meta"] = _meta(args, {"kind": "model", "alpha": args.alpha, "n": args.n})
-        save_fn(m.fn, f"{args.out}.fn.json", extra)
+        m = build_model_fn(alpha, n)
         ok = verify_model_properties(m).ok
-        _write_json(f"{args.out}.cert.json", {"kind": "model", "ok": ok, "meta": extra["meta"]})
-        return EXIT_OK if ok else EXIT_VERIFY
+        cert = {"kind": "model", "ok": ok}
+        return {"alpha": alpha, "n": n}, fn_to_dict(m.fn, model_fn_extra(m)), cert, ok
     if args.kind == "behrend":
-        s = apfree_set(args.n)
+        s = apfree_set(n)
         ok = is_apfree(s)
-        obj = {
-            "elements": [int(v) for v in s],
-            "N": args.n,
-            "meta": _meta(args, {"kind": "behrend", "N": args.n}),
-        }
-        _write_json(f"{args.out}.set.json", obj)
-        _write_json(
-            f"{args.out}.cert.json",
-            {"kind": "behrend", "ok": bool(ok), "size": len(s), "meta": obj["meta"]},
-        )
-        return EXIT_OK if ok else EXIT_VERIFY
+        cert = {"kind": "behrend", "ok": ok, "size": len(s)}
+        return {"N": n}, {"elements": [int(v) for v in s], "N": n}, cert, ok
     if args.kind == "lowap":
-        x = low_ap_density_subset(args.n, args.alpha)
-        obj = x.to_dict()
-        obj["meta"] = _meta(args, {"kind": "lowap", "n": args.n, "alpha": args.alpha})
-        _write_json(f"{args.out}.set.json", obj)
-        _write_json(
-            f"{args.out}.cert.json",
-            {"kind": "lowap", "ok": bool(x.ok), "bound": x.bound, "meta": obj["meta"]},
-        )
-        return EXIT_OK if x.ok else EXIT_VERIFY
+        x = low_ap_density_subset(n, alpha)
+        ok = bool(x.ok)
+        cert = {"kind": "lowap", "ok": ok, "bound": x.bound}
+        return {"n": n, "alpha": alpha}, x.to_dict(), cert, ok
     if args.kind == "product":
         params = ProductParams(
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            factors=args.factors,
-            mode=args.mode,
+            alpha=alpha, epsilon=args.epsilon, factors=args.factors, mode=args.mode
         )
-        f, cert = construct_product(params, seed=seed, max_retries_per_level=args.retries)
-        meta = _meta(args, {"kind": "product", "alpha": args.alpha, "epsilon": args.epsilon})
-        save_fn(f, f"{args.out}.fn.json", {"meta": meta})
-        obj = cert.to_dict()
-        obj["meta"] = meta
-        _write_json(f"{args.out}.cert.json", obj)
-        return EXIT_OK if cert.passed else EXIT_VERIFY
-    if args.kind == "interval":
+        f, cert = construct_product(params, seed=args.seed, max_retries_per_level=args.retries)
+    else:
         params = choose_interval_params(
-            args.n,
-            args.alpha,
-            args.epsilon,
-            mode=args.mode,
-            factors=args.factors or None,
+            n, alpha, args.epsilon, mode=args.mode, factors=args.factors or None
         )
-        f, cert = construct_interval_fn(params, seed=seed, max_overlay_retries=args.retries)
-        meta = _meta(args, {"kind": "interval", "alpha": args.alpha, "epsilon": args.epsilon})
-        save_fn(f, f"{args.out}.fn.json", {"meta": meta})
-        obj = cert.to_dict()
-        obj["meta"] = meta
-        _write_json(f"{args.out}.cert.json", obj)
-        return EXIT_OK if cert.passed else EXIT_VERIFY
-    raise FileFormatError(f"unknown construct kind {args.kind!r}")
+        f, cert = construct_interval_fn(params, seed=args.seed, max_overlay_retries=args.retries)
+    return {"alpha": alpha, "epsilon": args.epsilon}, fn_to_dict(f), cert.to_dict(), cert.passed
+
+
+def cmd_construct(args) -> int:
+    params, artifact, cert, ok = _construction(args)
+    meta = _meta(args, {"kind": args.kind, **params})
+    suffix = "fn" if "values" in artifact else "set"
+    _write_json(f"{args.out}.{suffix}.json", {**artifact, "meta": meta})
+    _write_json(f"{args.out}.cert.json", {**cert, "meta": meta})
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_upper(args) -> int:
@@ -168,7 +147,7 @@ def cmd_upper(args) -> int:
         schedule = strict_schedule(args.epsilon)
     else:
         rho0 = args.rho0 if args.rho0 is not None else min(0.5, max(args.epsilon, 1e-3))
-        schedule = geometric_schedule(rho0, args.decay)
+        schedule = geometric_schedule(rho0)
     trace = upper_search(f, args.epsilon, schedule=schedule)
     obj = trace.to_dict()
     obj["meta"] = _meta(args, {"epsilon": args.epsilon, "schedule": args.schedule})
@@ -207,13 +186,8 @@ def cmd_verify(args) -> int:
     else:
         raise FileFormatError("artifact holds neither values nor elements")
     alpha = args.alpha if args.alpha is not None else f.mean()
-    if args.bound in ("rel", "relative", "a3(1-eps)"):
-        target = alpha**3 * (1 - args.epsilon)
-    elif args.bound in ("abs", "absolute", "a3-eps"):
-        target = alpha**3 - args.epsilon
-    else:
-        raise FileFormatError(f"unknown bound spec {args.bound!r}")
-    worst_d, worst, ok = worst_difference(ap_profile(f, _normalization(f, None)), target)
+    target = alpha**3 * (1 - args.epsilon) if args.bound == "rel" else alpha**3 - args.epsilon
+    worst_d, worst, ok = worst_difference(ap_profile(f, OVER_WINDOW), target)
     print(
         json.dumps(
             {
@@ -232,6 +206,24 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def _factors(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _at_least_1(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="popdiff")
     ap.add_argument("--version", action="version", version=f"popdiff {__version__}")
@@ -245,34 +237,32 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--norm", choices=("over-n", "over-window"), default=None)
+    p.add_argument("--norm", choices=NORM_FLAGS, default="over-window")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("construct", help="run a construction and certify it")
     common(p)
     p.add_argument("--kind", choices=("model", "behrend", "lowap", "product", "interval"), required=True)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--alpha", type=_positive, default=0.25)
+    p.add_argument("--epsilon", type=_positive, default=1e-3)
     p.add_argument("--n", type=int, default=101, help="modulus / interval length")
-    p.add_argument("--factors", type=lambda s: tuple(int(v) for v in s.split(",")), default=())
-    p.add_argument("--retries", type=int, default=10)
+    p.add_argument("--factors", type=_factors, default=())
+    p.add_argument("--retries", type=_at_least_1, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("upper", help="popular-difference increment search")
     common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_positive, required=True)
     p.add_argument("--schedule", choices=("strict", "geometric"), default="geometric")
     p.add_argument("--rho0", type=float, default=None)
-    p.add_argument("--decay", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_upper)
 
     p = sub.add_parser("verify", help="exhaustive per-difference bound check")
-    common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bound", default="rel")
+    p.add_argument("--bound", choices=("rel", "abs"), default="rel")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_verify)
@@ -286,21 +276,9 @@ def main(argv=None) -> int:
         args.seed = int(env_seed)
     try:
         return args.func(args)
-    except (FileFormatError, json.JSONDecodeError, OSError) as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except RetriesExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RETRIES
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DegenerateBohrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except PopdiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -204,19 +204,22 @@ def fn_from_dict(obj: dict) -> tuple[DensityFn, dict]:
         dom = obj["domain"]
         kind = dom["kind"]
         n = dom["n"]
-        factors = tuple(dom.get("factors") or ())
+        factors = dom.get("factors") or []
         values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"not a function file: missing {exc}") from exc
     if not _is_int(n):
         raise FileFormatError(f"domain size 'n' must be an integer, got {n!r}")
-    if kind == PRODUCT and not all(_is_int(m) for m in factors):
-        raise FileFormatError(f"product factors must be integers, got {list(factors)!r}")
-    desc = DomainDesc(kind, n, factors if kind == PRODUCT else ())
+    if not isinstance(factors, list) or not all(_is_int(m) for m in factors):
+        raise FileFormatError(f"domain factors must be a list of integers, got {factors!r}")
+    desc = DomainDesc(kind, n, tuple(factors))
     try:
-        f = DensityFn(desc, np.asarray(values, dtype=np.float64))
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(str(exc)) from exc
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise FileFormatError(f"values must be a list of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise FileFormatError(f"values must be a list of numbers, got {arr.dtype} entries")
+    f = DensityFn(desc, arr)
     extras = {k: v for k, v in obj.items() if k not in ("domain", "values")}
     return f, extras
 

@@ -20,12 +20,6 @@ from .domains import CYCLIC, PRODUCT, DensityFn, Spectrum
 from .errors import DomainError
 
 
-def raw_transform(vec, sign: int) -> np.ndarray:
-    """sum_x vec[x] e(sign * x r / n) for every r, any length n."""
-    vec = np.asarray(vec, dtype=np.complex128)
-    return np.fft.ifft(vec, norm="forward") if sign > 0 else np.fft.fft(vec)
-
-
 def dft(f: DensityFn) -> Spectrum:
     """Normalized transform of a group function; intervals are rejected.
 
@@ -34,18 +28,20 @@ def dft(f: DensityFn) -> Spectrum:
     """
     if f.domain.kind not in (CYCLIC, PRODUCT):
         raise DomainError("dft is defined on group domains; embed intervals first")
-    return Spectrum(f.n, raw_transform(f.values, +1) / f.n)
+    return Spectrum(f.n, dft_values(f.values))
 
 
 def dft_values(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    return raw_transform(values, +1) / len(values)
+    """fhat(r) = (1/n) sum_x values[x] e(x r / n) for every r."""
+    vec = np.asarray(values, dtype=np.float64).astype(np.complex128)
+    return np.fft.ifft(vec, norm="forward") / len(vec)
 
 
 def idft(spec: Spectrum | np.ndarray) -> np.ndarray:
-    """Inverse transform; returns the complex value vector."""
-    coeffs = spec.coeffs if isinstance(spec, Spectrum) else np.asarray(spec)
-    return raw_transform(coeffs, -1)
+    """Inverse transform sum_r c(r) e(-x r / n) for every x; returns the complex
+    value vector."""
+    coeffs = spec.coeffs if isinstance(spec, Spectrum) else spec
+    return np.fft.fft(np.asarray(coeffs, dtype=np.complex128))
 
 
 def convolve(fv, gv) -> np.ndarray:

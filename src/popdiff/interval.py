@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import VERDICT_SLACK, ap_profile, ap_sums, worst_difference
+from .aps import ap_profile, ap_sums, within, worst_difference
 from .behrend import low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
@@ -287,7 +287,7 @@ class IntervalCert:
 
 def scan_interval_fn(values: np.ndarray, target: float) -> tuple:
     """Over-(N-2d) scan of 0 < d < N/2 in doubling blocks (1, 2-3, 4-7, ...):
-    the first block with a density above target + VERDICT_SLACK ends it with
+    the first block with a density not ``within`` the target ends it with
     (its first violating d, that density, False); a scan of every d returns
     ``worst_difference`` of the densities computed."""
     n = len(values)
@@ -296,7 +296,7 @@ def scan_interval_fn(values: np.ndarray, target: float) -> tuple:
     while lo < len(dens):
         ds = np.arange(lo, min(2 * lo, len(dens)))
         dens[ds] = ap_sums(values, ds, cyclic=False) / (n - 2 * ds)
-        bad = ds[dens[ds] > target + VERDICT_SLACK]
+        bad = ds[~within(dens[ds], target)]
         if bad.size:
             return int(bad[0]), float(dens[bad[0]]), False
         lo *= 2
@@ -308,7 +308,6 @@ def construct_interval_fn(
     seed: int,
     max_overlay_retries: int = 3,
     max_product_retries: int = 2,
-    product_level_retries: int = 10,
 ) -> tuple[DensityFn, IntervalCert]:
     """Run the three steps, scan exhaustively, and retry on failure.
 
@@ -330,7 +329,7 @@ def construct_interval_fn(
     for p_try in range(max_product_retries):
         product_used = p_try + 1
         g_fn, g_cert = construct_product(
-            prod_params, seed=seed + 7919 * p_try, max_retries_per_level=product_level_retries
+            prod_params, seed=seed + 7919 * p_try, max_retries_per_level=10
         )
         f2 = step1_step2_tile(params, g_fn)
         alpha_star = _common_value(g_fn)

@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import VERDICT_SLACK, ap_sums, worst_difference
+from .aps import ap_sums, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
+from .fourier import idft
 from .modelfn import build_model_fn, model_support
 
 STRICT_EPS_MAX = 20.0**-9
-
-_MAX_VIOLATIONS = 20  # violations a level verdict lists
 
 _ALPHA_PRIME_TOL = 1e-12
 
@@ -58,14 +57,13 @@ class ProductParams:
     epsilon: float
     factors: tuple
     mode: str = "desk"  # "strict" | "desk"
-    mu: tuple | None = None  # override; default from mu_schedule
 
     def __post_init__(self):
         self.factors = tuple(int(m) for m in self.factors)
+        if not self.factors:
+            raise DomainError("a product construction needs at least one factor")
         if self.mode not in ("strict", "desk"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.mu is None:
-            self.mu = mu_schedule(self.alpha, self.epsilon, len(self.factors), self.factors[0])
 
     @property
     def alpha_prime(self) -> float:
@@ -173,7 +171,6 @@ class LevelState:
     modified: np.ndarray | None = None  # bool over Z_{n_{i-1}}
     coset_a: np.ndarray | None = None
     coset_b: np.ndarray | None = None
-    mu_requested: float = 0.0
     mu_effective: float = 0.0
 
     @property
@@ -264,7 +261,6 @@ def random_modify_level(
         modified=modified,
         coset_a=coset_a,
         coset_b=coset_b,
-        mu_requested=mu_next,
         mu_effective=want / n_prev,
     )
     new.density_table = _assemble_density_table(new)[w_of, y_of]
@@ -312,7 +308,7 @@ def _assemble_density_table(state: LevelState) -> np.ndarray:
         if keep.any():
             k, t = ((r1 + 2 * r2) % m)[keep], terms[keep]
             amp = np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
-            rows[dprime] += np.fft.fft(amp).real / n_prev
+            rows[dprime] += idft(amp).real / n_prev
     return rows
 
 
@@ -326,23 +322,14 @@ class LevelVerdict:
     target: float
     max_offdiag: float
     argmax_d: int
-    violations: list  # first few (d, density)
 
 
 def verify_level(state: LevelState, epsilon: float) -> LevelVerdict:
     """Exhaustive check that every nonzero difference has density at most
     alpha^3 (1 - epsilon), by ``worst_difference``."""
     target = state.alpha**3 * (1 - epsilon)
-    table = state.density_table
-    arg, worst, passed = worst_difference(APProfile(table, GROUP, state.n), target)
-    bad = np.flatnonzero(table[1:] > target + VERDICT_SLACK) + 1
-    return LevelVerdict(
-        passed=passed,
-        target=target,
-        max_offdiag=worst,
-        argmax_d=arg,
-        violations=[(int(d), float(table[d])) for d in bad[:_MAX_VIOLATIONS]],
-    )
+    arg, worst, passed = worst_difference(APProfile(state.density_table, GROUP, state.n), target)
+    return LevelVerdict(passed=passed, target=target, max_offdiag=worst, argmax_d=arg)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +399,7 @@ def construct_product(
 
     alpha, eps, fac = params.alpha, params.epsilon, params.factors
     strict = params.mode == "strict"
+    mu = mu_schedule(alpha, eps, len(fac), fac[0])
     state = build_level1(alpha, fac[0])
     verdict = verify_level(state, eps)
     retries = [{"level": 1, "attempts": 1, "passed": verdict.passed}]
@@ -423,7 +411,7 @@ def construct_product(
         )
 
     for i in range(2, len(fac) + 1):
-        mu_i = params.mu[i - 1]
+        mu_i = mu[i - 1]
         best = None
         passed = False
         for attempt in range(max_retries_per_level):
@@ -451,7 +439,7 @@ def construct_product(
                 },
             )
 
-    final = verify_level(state, eps)
+    # verdict is the last level's passing verdict
     mean_cube = float((state.values**3).mean())
     ap = params.alpha_prime
     frac = float(np.mean(np.abs(state.values - ap) <= _ALPHA_PRIME_TOL))
@@ -462,18 +450,18 @@ def construct_product(
         epsilon=eps,
         factors=fac,
         retries=retries,
-        max_offdiag_density=final.max_offdiag,
-        argmax_d=final.argmax_d,
+        max_offdiag_density=verdict.max_offdiag,
+        argmax_d=verdict.argmax_d,
         mean_cube=mean_cube,
         alpha_star=ap,
         fraction_at_alpha_star=frac,
-        mu_requested=tuple(params.mu),
+        mu_requested=mu,
         mu_effective=tuple(
             [0.0] + [st.mu_effective for st in _state_chain(state)[1:]]
         ),
         conclusions={
-            "max_offdiag_le_target": bool(final.passed),
-            "mean_cube_le_3_2_alpha3": bool(mean_cube <= 1.5 * alpha**3 + 1e-12),
+            "max_offdiag_le_target": bool(verdict.passed),
+            "mean_cube_le_3_2_alpha3": bool(within(mean_cube, 1.5 * alpha**3)),
             "alpha_star_in_window": bool(alpha - 1e-12 <= ap <= alpha * (1 + eps**0.25) + 1e-12),
             "fraction_ge_3_4": bool(frac >= 0.75),
         },

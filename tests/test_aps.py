@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import popdiff.aps
 import popdiff.domains
 from popdiff.aps import (
     SPARSE_TOL,
@@ -19,9 +20,12 @@ from popdiff.aps import (
     worst_difference,
 )
 from popdiff.domains import GROUP, OVER_N, OVER_WINDOW, APProfile, DensityFn, cyclic, interval
+from popdiff.behrend import LowAPSubset
 from popdiff.errors import DomainError
 from popdiff.fourier import dft, idft
+from popdiff.interval import scan_interval_fn
 from popdiff.modelfn import build_model_fn
+from popdiff.product import ProductParams, construct_product
 
 
 def brute_total(values):
@@ -241,6 +245,27 @@ def test_worst_difference_rule():
     assert worst_difference(prof, 0.35)[2]
     assert worst_difference(prof, 0.35 - VERDICT_SLACK / 2)[2]
     assert not worst_difference(prof, 0.35 - 2 * VERDICT_SLACK)[2]
+
+
+def test_verdict_slack_has_one_reader(monkeypatch):
+    # every verdict reads aps.VERDICT_SLACK when it compares, so widening the
+    # slack turns each of these failures into a pass
+    prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
+    low = LowAPSubset(7, np.array([0]), 1 / 7, ap_density=0.05, bound=0.01,
+                      source_interval=1, block_width=0)
+    boost = ProductParams(alpha=0.25, epsilon=8e-3, factors=(5,))  # mean cube 1.5625 alpha^3
+
+    def verdicts():
+        return (
+            worst_difference(prof, 0.3)[2],
+            scan_interval_fn(np.full(101, 0.5), 0.12)[2],  # every d has density 1/8
+            low.ok,
+            construct_product(boost, seed=42)[1].conclusions["mean_cube_le_3_2_alpha3"],
+        )
+
+    assert verdicts() == (False, False, False, False)
+    monkeypatch.setattr(popdiff.aps, "VERDICT_SLACK", 0.1)
+    assert verdicts() == (True, True, True, True)
 
 
 @given(

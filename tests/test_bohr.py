@@ -53,6 +53,14 @@ def test_bohr_enumeration_example():
 def test_bohr_empty_freqs_whole_group():
     b = bohr_set(9, set(), 0.0)
     assert b.size == 9
+    # B(emptyset, rho) = Z_n is regular at every scale, but is_regular and the
+    # inequality suite still refuse codimension 0
+    nu, scaled = find_regular_scale(bohr_set(9, set(), 0.3))
+    assert nu == 1.0 and scaled.size == 9 and scaled.rho == 0.3
+    with pytest.raises(DomainError):
+        is_regular(scaled)
+    with pytest.raises(DomainError):
+        inequality_suite(DensityFn(cyclic(9), np.full(9, 0.5)), scaled, scaled, 0.01)
 
 
 def test_bohr_basic_invariants():

@@ -45,12 +45,47 @@ def test_scan_constant_rows(tmp_path):
         ["construct", "--kind", "model", "--out", "g", "--threads", "2"],
         ["upper", "--in", "g.fn.json", "--epsilon", "0.05", "--out", "t", "--threads", "2"],
         ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--threads", "2"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--seed", "1"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--mode", "desk"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--bound", "relative"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "0.05", "--out", "t", "--decay", "0.5"],
     ],
 )
 def test_removed_options_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def exit_code(argv):
+    """main's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--kind", "product"],
+        ["construct", "--kind", "product", "--factors", "5,31", "--retries", "0"],
+        ["construct", "--kind", "interval", "--alpha", "0.1", "--n", "20000", "--retries", "0"],
+        ["construct", "--kind", "product", "--factors", "5", "--epsilon", "0"],
+        ["construct", "--kind", "product", "--factors", "5", "--alpha", "0"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "0"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "-1"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "nan"],
+    ],
+    ids=["product-no-factors", "product-retries-0", "interval-retries-0", "product-epsilon-0",
+         "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan"],
+)
+def test_bad_flags_exit_2(tmp_path, capsys, argv):
+    # bad flag values exit 2 with an error line, never in a traceback with
+    # exit 1, the code of a failed verification; upper's input is never read
+    assert exit_code(argv + ["--out", str(tmp_path / "c")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_construct_model_certificate_checks_properties(tmp_path, monkeypatch):
@@ -91,6 +126,9 @@ def test_construct_product_exit_codes(tmp_path):
     code = main(["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "1e-3",
                  "--factors", "5,15", "--out", str(tmp_path / "q"), "--seed", "1"])
     assert code == 4
+    # a factor of 1 is infeasible too, caught before anything divides by m1 - 1
+    assert main(["construct", "--kind", "product", "--factors", "1",
+                 "--out", str(tmp_path / "one")]) == 4
     # retries exhausted at a two-level desk run
     code = main(["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "1e-3",
                  "--factors", "5,101", "--retries", "2", "--out", str(tmp_path / "r"),
@@ -150,6 +188,61 @@ def test_function_file_non_integer_size(tmp_path, capsys, command, domain):
     # the value count matches the intended size, so only a type is wrong
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"domain": domain, "values": [0.25] * int(domain["n"])}))
+    argv = {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
+            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"],
+            "upper": ["upper", "--in", str(path), "--epsilon", "0.05", "--out",
+                      str(tmp_path / "t")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _fn_file(kind="cyclic", n=3, values=None, **domain):
+    return {"domain": {"kind": kind, "n": n, **domain},
+            "values": [0.25] * n if values is None else values}
+
+
+LOADER_FUZZ = {
+    "values-strings": _fn_file(values=["a", "b", "c"]),
+    "values-numeric-strings": _fn_file(values=["0.1", "0.2", "0.3"]),
+    "values-nested": _fn_file(values=[[0.1], [0.2], [0.3]]),
+    "values-ragged": _fn_file(values=[[0.1], [0.2, 0.3], 0.3]),
+    "values-nulls": _fn_file(values=[None, None, None]),
+    "values-booleans": _fn_file(values=[True, False, True]),
+    "values-string": _fn_file(values="0.1,0.2,0.3"),
+    "values-object": _fn_file(values={"0": 0.1}),
+    "values-short": _fn_file(n=5, values=[0.25] * 3),
+    "values-above-1": _fn_file(values=[1.5, 0.2, 0.3]),
+    "values-missing": {"domain": {"kind": "cyclic", "n": 3}},
+    "domain-list": {"domain": ["cyclic", 3], "values": [0.25] * 3},
+    "domain-string": {"domain": "cyclic", "values": [0.25] * 3},
+    "kind-unknown": _fn_file(kind="torus"),
+    "kind-missing": {"domain": {"n": 3}, "values": [0.25] * 3},
+    "n-zero": _fn_file(n=0),
+    "n-negative": _fn_file(kind="interval", n=-3, values=[0.25] * 3),
+    "n-even": _fn_file(n=4),
+    "factors-int": _fn_file(kind="product", n=15, factors=15),
+    "factors-string": _fn_file(kind="product", n=15, factors="3,5"),
+    "factors-duplicate": _fn_file(kind="product", n=9, factors=[3, 3]),
+    "factors-not-prime": _fn_file(kind="product", n=9, factors=[9]),
+    "factors-on-cyclic": _fn_file(n=15, factors=[3, 5]),
+    "json-list": [0.25, 0.25, 0.25],
+    "json-number": 3,
+    "json-string": "values",
+    "json-null": None,
+    "set-elements-string": {"elements": "1,2", "N": 10},
+    "set-elements-nested": {"elements": [[1], [2]], "N": 10},
+    "set-elements-floats": {"elements": [1.0, 2.0], "N": 10},
+    "set-elements-null": {"elements": None, "n": 11},
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "verify", "upper"])
+@pytest.mark.parametrize("case", LOADER_FUZZ)
+def test_loader_fuzz(tmp_path, capsys, command, case):
+    # malformed function and set files end in exit 2 and an error line, never
+    # in a traceback; scan and upper read function files only
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(LOADER_FUZZ[case]))
     argv = {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
             "verify": ["verify", "--in", str(path), "--epsilon", "0.01"],
             "upper": ["upper", "--in", str(path), "--epsilon", "0.05", "--out",
@@ -219,6 +312,18 @@ def test_upper_command(tmp_path):
     trace = json.loads((tmp_path / "t.trace.json").read_text())
     assert trace["d"] != 0
     assert trace["density"] >= 0.3**3 - 0.05
+
+
+def test_upper_without_large_coefficient(tmp_path):
+    # at mean 0.1 no coefficient reaches rho_1 / 2 = 0.15, so S_1 is empty and
+    # every level's B(emptyset, rho) is Z_n: an exhaustive argmax, exit 0
+    v = np.random.default_rng(0).random(1009)
+    save_fn(DensityFn(cyclic(1009), v * (0.1 / v.mean())), tmp_path / "f.json")
+    assert main(["upper", "--in", str(tmp_path / "f.json"), "--epsilon", "0.05",
+                 "--rho0", "0.3", "--out", str(tmp_path / "t")]) == 0
+    trace = json.loads((tmp_path / "t.trace.json").read_text())
+    assert trace["collapsed"] is True
+    assert all(lv["S_size"] == 0 and lv["B_size"] == 1009 for lv in trace["levels"])
 
 
 def test_upper_degenerate_exit(tmp_path):
