@@ -15,23 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# numpy and the library modules are imported inside each command, so a
+# process loads only what its command runs and --version, --help and a bad
+# flag load no numpy at all
 from . import __version__
-from .aps import ap_profile, total_3ap_density, worst_difference
-from .behrend import apfree_set, is_apfree, low_ap_density_subset
-from .bohr import geometric_schedule, strict_schedule, upper_search
-from .domains import (
-    OVER_N,
-    OVER_WINDOW,
-    DensityFn,
-    _is_int,
-    cyclic,
-    fn_from_dict,
-    fn_to_dict,
-    interval,
-    load_fn,
-)
 from .errors import (
     DegenerateBohrError,
     FileFormatError,
@@ -39,9 +26,6 @@ from .errors import (
     PopdiffError,
     RetriesExhausted,
 )
-from .interval import choose_interval_params, construct_interval_fn
-from .modelfn import build_model_fn, model_fn_extra, verify_model_properties
-from .product import ProductParams, construct_product
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -58,7 +42,7 @@ EXIT_CODES = (
     (OSError, 2),
 )
 
-NORM_FLAGS = {"over-n": OVER_N, "over-window": OVER_WINDOW}
+NORM_FLAGS = ("over-n", "over-window")
 
 
 def _meta(args, params: dict) -> dict:
@@ -80,8 +64,11 @@ def _write_json(path, obj) -> None:
 
 
 def cmd_scan(args) -> int:
+    from .aps import ap_profile, total_3ap_density, worst_difference
+    from .domains import OVER_N, OVER_WINDOW, load_fn
+
     f, _ = load_fn(args.infile)
-    prof = ap_profile(f, normalization=NORM_FLAGS[args.norm])
+    prof = ap_profile(f, normalization=OVER_N if args.norm == "over-n" else OVER_WINDOW)
     prof.to_csv(f"{args.out}.csv")
     worst_d, worst, _ = worst_difference(prof)
     summary = {
@@ -101,28 +88,40 @@ def cmd_scan(args) -> int:
 def _construction(args) -> tuple:
     """(params, artifact, certificate body, ok) of one construct kind; the
     artifact is a function file or a set artifact."""
+    from .domains import fn_to_dict
+
     alpha, n = args.alpha, args.n
     if args.kind == "model":
+        from .modelfn import build_model_fn, model_fn_extra, verify_model_properties
+
         m = build_model_fn(alpha, n)
         ok = verify_model_properties(m).ok
         cert = {"kind": "model", "ok": ok}
         return {"alpha": alpha, "n": n}, fn_to_dict(m.fn, model_fn_extra(m)), cert, ok
     if args.kind == "behrend":
+        from .behrend import apfree_set, is_apfree
+
         s = apfree_set(n)
         ok = is_apfree(s)
         cert = {"kind": "behrend", "ok": ok, "size": len(s)}
         return {"N": n}, {"elements": [int(v) for v in s], "N": n}, cert, ok
     if args.kind == "lowap":
+        from .behrend import low_ap_density_subset
+
         x = low_ap_density_subset(n, alpha)
         ok = bool(x.ok)
         cert = {"kind": "lowap", "ok": ok, "bound": x.bound}
         return {"n": n, "alpha": alpha}, x.to_dict(), cert, ok
     if args.kind == "product":
+        from .product import ProductParams, construct_product
+
         params = ProductParams(
             alpha=alpha, epsilon=args.epsilon, factors=args.factors, mode=args.mode
         )
         f, cert = construct_product(params, seed=args.seed, max_retries_per_level=args.retries)
     else:
+        from .interval import choose_interval_params, construct_interval_fn
+
         params = choose_interval_params(
             n, alpha, args.epsilon, mode=args.mode, factors=args.factors or None
         )
@@ -140,6 +139,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_upper(args) -> int:
+    from .bohr import geometric_schedule, strict_schedule, upper_search
+    from .domains import load_fn
+
     f, _ = load_fn(args.infile)
     if not f.domain.is_group:
         raise FileFormatError("the search needs an odd-order group function file")
@@ -156,9 +158,13 @@ def cmd_upper(args) -> int:
     return EXIT_OK if trace.density >= alpha**3 - args.epsilon else EXIT_VERIFY
 
 
-def _set_indicator(obj: dict) -> DensityFn:
+def _set_indicator(obj: dict):
     """Indicator of a set artifact: residues 0..n-1 of Z_n under ``n``, or
     members 1..N of the interval [N] under ``N``."""
+    import numpy as np
+
+    from .domains import DensityFn, _is_int, cyclic, interval
+
     key = "n" if "n" in obj else "N"
     size = obj.get(key)
     if not _is_int(size) or size < 1:
@@ -170,12 +176,18 @@ def _set_indicator(obj: dict) -> DensityFn:
     bad = next((v for v in elements if not lo <= v < lo + size), None)
     if bad is not None:
         raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
-    vals = np.zeros(size)
+    try:
+        vals = np.zeros(size)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's maximum dimension
+        raise FileFormatError(f"set artifact {key}={size} is too large to hold its indicator") from exc
     vals[np.asarray(elements, dtype=np.int64) - lo] = 1.0
     return DensityFn(cyclic(size) if key == "n" else interval(size), vals)
 
 
 def cmd_verify(args) -> int:
+    from .aps import ap_profile, worst_difference
+    from .domains import OVER_WINDOW, fn_from_dict
+
     obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise FileFormatError("artifact must be a JSON object")

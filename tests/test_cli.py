@@ -89,11 +89,12 @@ def test_bad_flags_exit_2(tmp_path, capsys, argv):
 
 
 def test_construct_model_certificate_checks_properties(tmp_path, monkeypatch):
-    from popdiff import cli
+    from popdiff import modelfn
     from popdiff.modelfn import ModelReport, PropertyCheck
 
+    # the CLI imports verify_model_properties from modelfn when the command runs
     failing = ModelReport(0.25, 101, [PropertyCheck("mean", False, 0.3, 0.25, 1e-9)])
-    monkeypatch.setattr(cli, "verify_model_properties", lambda m: failing)
+    monkeypatch.setattr(modelfn, "verify_model_properties", lambda m: failing)
     out = tmp_path / "g"
     assert main(["construct", "--kind", "model", "--alpha", "0.25", "--n", "101",
                  "--out", str(out)]) == 1
@@ -233,6 +234,8 @@ LOADER_FUZZ = {
     "set-elements-nested": {"elements": [[1], [2]], "N": 10},
     "set-elements-floats": {"elements": [1.0, 2.0], "N": 10},
     "set-elements-null": {"elements": None, "n": 11},
+    "set-N-unallocatable": {"elements": [1], "N": 10**18},
+    "set-N-beyond-numpy-dimension": {"elements": [1], "N": 10**30},
 }
 
 

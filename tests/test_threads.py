@@ -1,5 +1,6 @@
 """Process start-up: importing popdiff keeps OpenBLAS to one thread unless
-the user chose a thread count, and no result depends on the BLAS threads."""
+the user chose a thread count, no result depends on the BLAS threads, and
+each CLI command loads only the modules it runs."""
 
 import json
 import os
@@ -39,7 +40,8 @@ def report_after(imports, **env_set):
 
 
 def test_import_starts_single_threaded():
-    rep = report_after("import popdiff")
+    # import popdiff alone loads no numpy; a submodule loads it after the guard
+    rep = report_after("import popdiff.aps")
     assert rep["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
                           "OMP_NUM_THREADS": None}
     if rep["threads"] is not None:
@@ -73,3 +75,50 @@ def test_upper_trace_independent_of_blas_threads(tmp_path):
                    OPENBLAS_NUM_THREADS=threads)
         traces.append(Path(f"{out}.trace.json").read_bytes())
     assert traces[0] == traces[1]
+
+
+
+BARE = ("numpy", "aps", "behrend", "bohr", "domains", "fourier", "interval", "modelfn", "product")
+SCAN = ("bohr", "behrend", "product", "interval", "modelfn")
+
+# (argv, exit code, modules that must stay unloaded); argv None only imports
+# popdiff, and the files are written by the test into the working directory
+IMPORT_CASES = {
+    "import": (None, None, BARE),
+    "version": (["--version"], 0, BARE),
+    "bad-flag": (["scan", "--bogus"], 2, BARE),
+    "scan": (["scan", "--in", "u.fn.json", "--out", "o"], 0, SCAN),
+    "verify-fn": (["verify", "--in", "u.fn.json", "--epsilon", "0.5"], 1, SCAN),
+    "verify-set": (["verify", "--in", "s.set.json", "--epsilon", "0.5"], 0, SCAN),
+    "upper": (["upper", "--in", "u.fn.json", "--epsilon", "0.05", "--out", "o"], 0,
+              ("behrend", "product", "interval", "modelfn")),
+    "construct-behrend": (["construct", "--kind", "behrend", "--n", "27", "--out", "o"], 0,
+                          ("bohr", "product", "interval", "modelfn")),
+}
+
+PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    import popdiff
+else:
+    from popdiff.cli import main
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_command_loads_only_its_modules(tmp_path, monkeypatch, case):
+    argv, code, absent = IMPORT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    save_fn(DensityFn(cyclic(201), np.random.default_rng(3).uniform(0, 0.5, 201)), "u.fn.json")
+    Path("s.set.json").write_text(json.dumps({"elements": [1, 2, 5, 11], "N": 40}))
+    rep = json.loads(run_python(["-c", PROBE, json.dumps(argv)]).splitlines()[-1])
+    assert rep["code"] == code
+    unwanted = {name if name == "numpy" else f"popdiff.{name}" for name in absent}
+    assert not unwanted & set(rep["modules"]), sorted(unwanted & set(rep["modules"]))
