@@ -1,15 +1,17 @@
 """Progression-free sets in [N] and low-3-AP-density subsets of Z_n.
 
-Three generators are combined:
+Two generators are combined:
 
 * an exact maximizer for N <= 40, built bottom-up: r(N) is either r(N-1)+1
   or r(N-1), and the smaller exact values r(k) bound every branch of a
   depth-first search (Gasarch-Glenn-Kruskal).  Its witness is the
   lexicographically smallest maximum AP-free subset of [N];
-* a deterministic greedy sieve (strong at desk sizes);
-* the digit/sphere construction: digit vectors in base 2b-1 with a fixed
-  square-sum have no nontrivial 3-AP, and the densest square-sum class is
-  located by polynomial convolution before anything is enumerated.
+* above that, the ternary set 1 + {0 <= x < N : no base-3 digit of x is 2}
+  in closed form.  It is AP-free because x + z = 2y among digit-0/1 numbers
+  adds digits without carries, which forces x = y = z.  It is the set the
+  greedy sieve from 1 produces (Odlyzko-Stanley), and for every
+  40 < N <= 10^9 it is at least 2.6 times the largest square-sum class of
+  Behrend's digit/sphere construction that fits in [N].
 
 ``low_ap_density_subset`` turns an AP-free set A of [N] into a dense subset
 of Z_n with few 3-APs, by one of two routes: for n <= 4N the densest piece of
@@ -31,7 +33,9 @@ from .domains import DensityFn, cyclic
 from .errors import DomainError, InfeasibleError
 
 BRUTE_CAP = 40
-_SURROGATE_CAP = 4096
+# largest interval bound N that low_ap_density_subset tries; it decides the
+# candidate intervals, so it is part of every lowap artifact
+_INTERVAL_CAP = 4096
 
 
 def is_apfree(elements) -> bool:
@@ -90,59 +94,18 @@ def brute_max_apfree(n: int) -> tuple[int, tuple]:
     return len(chosen), tuple(chosen)
 
 
-def _greedy_apfree(n: int) -> np.ndarray:
-    member = np.zeros(n + 1, dtype=bool)
-    for z in range(1, n + 1):
-        ys = np.flatnonzero(member[:z])
-        if ys.size:
-            xs = 2 * ys - z
-            xs = xs[xs >= 1]
-            if xs.size and member[xs].any():
-                continue
-        member[z] = True
-    return np.flatnonzero(member)
+def _ternary_set(n: int) -> np.ndarray:
+    """1 + {0 <= x < n : no base-3 digit of x is 2}, ascending.
 
-
-def _digit_apfree(n: int) -> np.ndarray:
-    """Best digit-construction set inside [n] over a (base, dimension) grid."""
-    best = (0, None)
-    b = 2
-    while (2 * b - 1) ** 2 <= n:
-        k = 2
-        while (2 * b - 1) ** k <= n:
-            # counts[r] = number of digit vectors in {0..b-1}^k with sum c_i^2 = r
-            single = np.zeros((b - 1) ** 2 + 1)
-            for c in range(b):
-                single[c * c] += 1
-            counts = single
-            for _ in range(k - 1):
-                counts = np.convolve(counts, single)
-            r = int(counts.argmax())
-            if counts[r] > best[0]:
-                best = (int(counts[r]), (b, k, r))
-            k += 1
-        b += 1
-    if best[1] is None:
-        return np.array([], dtype=np.int64)
-    b, k, r = best[1]
-    base = 2 * b - 1
-    out: list = []
-    digits = [0] * k
-
-    def rec(pos: int, rem: int, val: int) -> None:
-        if pos == k:
-            if rem == 0:
-                out.append(val + 1)
-            return
-        tail = (k - pos - 1) * (b - 1) ** 2
-        for c in range(b):
-            cc = c * c
-            if cc > rem or rem - cc > tail:
-                continue
-            rec(pos + 1, rem - cc, val + c * base**pos)
-
-    rec(0, r, 0)
-    return np.asarray(sorted(out), dtype=np.int64)
+    Doubling: the digit-0/1 numbers below 3^(k+1) are those below 3^k and
+    the same shifted by 3^k, so each pass appends a shifted copy.
+    """
+    x = np.zeros(1, dtype=np.int64)
+    step = 1
+    while step < n:
+        x = np.concatenate((x, x + step))
+        step *= 3
+    return x[x < n] + 1
 
 
 def apfree_set(n: int) -> np.ndarray:
@@ -152,9 +115,7 @@ def apfree_set(n: int) -> np.ndarray:
     if n <= BRUTE_CAP:
         _, witness = brute_max_apfree(n)
         return np.asarray(witness, dtype=np.int64)
-    greedy = _greedy_apfree(n)
-    digit = _digit_apfree(n)
-    return digit if len(digit) > len(greedy) else greedy
+    return _ternary_set(n)
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +150,15 @@ def density_bound(alpha: float) -> float:
 
 
 def _apfree_sizes_up_to(cap: int) -> np.ndarray:
-    """sizes[N] = size of apfree_set's output for each N <= cap.
-
-    Above BRUTE_CAP only the greedy set is counted.  That equals
-    apfree_set's size for every N up to _SURROGATE_CAP, the largest cap a
-    caller passes: on 41..4096 the digit set never beats greedy.
-    """
+    """sizes[N] = size of apfree_set's output for each N <= cap."""
     sizes = np.zeros(cap + 1, dtype=np.int64)
     for m in range(1, min(BRUTE_CAP, cap) + 1):
         sizes[m] = brute_max_apfree(m)[0]
     if cap > BRUTE_CAP:
-        greedy = _greedy_apfree(cap)
-        counts = np.zeros(cap + 1, dtype=np.int64)
-        counts[greedy] = 1
-        cum = np.cumsum(counts)
-        sizes[BRUTE_CAP + 1 :] = cum[BRUTE_CAP + 1 :]
+        # the ternary sets for N <= cap are prefixes of the one for cap
+        member = np.zeros(cap + 1, dtype=np.int64)
+        member[_ternary_set(cap)] = 1
+        sizes[BRUTE_CAP + 1 :] = np.cumsum(member)[BRUTE_CAP + 1 :]
     return sizes
 
 
@@ -221,7 +176,7 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
         raise DomainError("the modulus must be odd")
     if not 0 < alpha <= 0.1:
         raise DomainError(f"alpha={alpha} out of range (need 0 < alpha <= 0.1)")
-    cap = min(max(64, 4 * n), _SURROGATE_CAP)
+    cap = min(max(64, 4 * n), _INTERVAL_CAP)
     sizes = _apfree_sizes_up_to(cap)
     target = 6 * alpha
     candidates = [m for m in range(1, cap + 1) if sizes[m] >= target * m]

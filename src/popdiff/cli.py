@@ -1,7 +1,8 @@
 """Command-line front door: scan, construct, upper, verify.
 
 Exit codes: 0 ok, 1 verification failed, 2 malformed input, 3 retries
-exhausted, 4 infeasible parameters, 5 degenerate Bohr collapse.  Every
+exhausted, 4 infeasible parameters, 5 degenerate Bohr collapse, 6 a
+computation failed where the theory guarantees success.  Every
 artifact embeds {tool, version, seed, mode, params}; identical invocations
 (same seed) produce byte-identical outputs.  POPDIFF_SEED overrides --seed.
 """
@@ -21,9 +22,11 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     DegenerateBohrError,
+    DomainError,
     FileFormatError,
     InfeasibleError,
     PopdiffError,
+    RegularityError,
     RetriesExhausted,
 )
 
@@ -37,6 +40,7 @@ EXIT_CODES = (
     (RetriesExhausted, 3),
     (InfeasibleError, 4),
     (DegenerateBohrError, 5),
+    (RegularityError, 6),
     (PopdiffError, 2),
     (json.JSONDecodeError, 2),
     (OSError, 2),
@@ -85,12 +89,31 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _value_vector(size: int, what: str):
+    """np.zeros(size), or a DomainError naming ``what`` when no float vector
+    of that length can be allocated."""
+    import numpy as np
+
+    try:
+        return np.zeros(size)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's maximum dimension
+        raise DomainError(f"{what} = {size} is too large to hold a value vector") from exc
+
+
 def _construction(args) -> tuple:
     """(params, artifact, certificate body, ok) of one construct kind; the
     artifact is a function file or a set artifact."""
     from .domains import fn_to_dict
 
     alpha, n = args.alpha, args.n
+    # a size that no vector can hold exits 2 before any primality test or
+    # loop over it; each kind rejects a size below 1 with its own message
+    if args.kind == "product":
+        size, what = math.prod(args.factors), "the product of --factors"
+    else:
+        size, what = n, "--n"
+    if size >= 1:
+        _value_vector(size, what)
     if args.kind == "model":
         from .modelfn import build_model_fn, model_fn_extra, verify_model_properties
 
@@ -176,10 +199,7 @@ def _set_indicator(obj: dict):
     bad = next((v for v in elements if not lo <= v < lo + size), None)
     if bad is not None:
         raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
-    try:
-        vals = np.zeros(size)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's maximum dimension
-        raise FileFormatError(f"set artifact {key}={size} is too large to hold its indicator") from exc
+    vals = _value_vector(size, f"set artifact {key}")
     vals[np.asarray(elements, dtype=np.int64) - lo] = 1.0
     return DensityFn(cyclic(size) if key == "n" else interval(size), vals)
 
@@ -232,7 +252,7 @@ def _at_least_1(text: str) -> int:
 def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -268,15 +288,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--epsilon", type=_positive, required=True)
     p.add_argument("--schedule", choices=("strict", "geometric"), default="geometric")
-    p.add_argument("--rho0", type=float, default=None)
+    p.add_argument("--rho0", type=_positive, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_upper)
 
     p = sub.add_parser("verify", help="exhaustive per-difference bound check")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bound", choices=("rel", "abs"), default="rel")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--epsilon", type=_positive, required=True)
+    p.add_argument("--alpha", type=_positive, default=None)
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -85,12 +85,13 @@ class DomainDesc:
                 raise DomainError("product domain needs factors")
             if len(set(fac)) != len(fac):
                 raise DomainError(f"product factors must be distinct, got {fac}")
-            for m in fac:
-                if not is_prime(m):
-                    raise DomainError(f"product factor {m} is not prime")
+            # the product first: trial division of a large factor is slow
             prod = math.prod(fac)
             if prod != self.n:
                 raise DomainError(f"factors {fac} multiply to {prod}, not n={self.n}")
+            for m in fac:
+                if not is_prime(m):
+                    raise DomainError(f"product factor {m} is not prime")
             object.__setattr__(self, "factors", fac)
         elif self.factors:
             raise DomainError("factors are only meaningful for product domains")
@@ -212,14 +213,16 @@ def fn_from_dict(obj: dict) -> tuple[DensityFn, dict]:
         raise FileFormatError(f"domain size 'n' must be an integer, got {n!r}")
     if not isinstance(factors, list) or not all(_is_int(m) for m in factors):
         raise FileFormatError(f"domain factors must be a list of integers, got {factors!r}")
-    desc = DomainDesc(kind, n, tuple(factors))
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise FileFormatError(f"values must be a list of numbers: {exc}") from exc
     if arr.dtype.kind not in "iuf":
         raise FileFormatError(f"values must be a list of numbers, got {arr.dtype} entries")
-    f = DensityFn(desc, arr)
+    # the length before DomainDesc, which tests product factors for primality
+    if arr.shape != (n,):
+        raise FileFormatError(f"value vector has shape {arr.shape}, domain has size {n}")
+    f = DensityFn(DomainDesc(kind, n, tuple(factors)), arr)
     extras = {k: v for k, v in obj.items() if k not in ("domain", "values")}
     return f, extras
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: parse/format errors are 2,
-exhausted retries 3, infeasible parameters 4, degenerate Bohr collapse 5.
+exhausted retries 3, infeasible parameters 4, degenerate Bohr collapse 5,
+a failed regularity guarantee 6.
 """
 
 

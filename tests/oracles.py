@@ -39,3 +39,19 @@ def lambda_weighted_spectral(fvals: np.ndarray, phi: np.ndarray) -> float:
         r1 = (-(r2 + r3)) % n
         total += np.sum(fh[r1] * fh[r2] * fh[r3] * ph[(-(r2 + 2 * r3)) % n])
     return float(total.real)
+
+
+def greedy_apfree(n: int) -> np.ndarray:
+    """Greedy sieve over 1..n: keep z unless it completes a 3-AP x < y < z
+    with x and y already kept.  O(n^2); the reference for behrend.apfree_set
+    above its exact cap."""
+    member = np.zeros(n + 1, dtype=bool)
+    for z in range(1, n + 1):
+        ys = np.flatnonzero(member[:z])
+        if ys.size:
+            xs = 2 * ys - z
+            xs = xs[xs >= 1]
+            if xs.size and member[xs].any():
+                continue
+        member[z] = True
+    return np.flatnonzero(member)

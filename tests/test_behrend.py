@@ -16,6 +16,7 @@ from popdiff.behrend import (
 )
 from popdiff.aps import _pair_sums, ap_sums
 from popdiff.errors import DomainError
+from oracles import greedy_apfree
 
 
 def bitmask_max_apfree(n: int) -> tuple[int, tuple]:
@@ -95,9 +96,15 @@ def test_apfree_set_properties():
         assert s.min() >= 1 and s.max() <= n
 
 
+def test_apfree_set_is_the_greedy_sieve():
+    # above BRUTE_CAP the closed form equals the greedy sieve; both outputs
+    # for smaller N are prefixes of these, so one N covers every N <= 20000
+    assert np.array_equal(apfree_set(20000), greedy_apfree(20000))
+
+
 def test_apfree_sizes_match_apfree_set():
-    # above BRUTE_CAP the table counts greedy only; the digit set never
-    # beats greedy for N <= 4096, so the two agree on every reachable N
+    # the table counts the same ternary membership that apfree_set returns,
+    # on every N that low_ap_density_subset reaches
     sizes = _apfree_sizes_up_to(4096)
     for m in (41, 100, 1000, 4096):
         assert sizes[m] == len(apfree_set(m))

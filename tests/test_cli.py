@@ -57,6 +57,10 @@ def test_removed_options_exit_2(argv):
     assert exc.value.code == 2
 
 
+# a prime, so trial division of it runs to its square root, about 5e8 steps
+HUGE_PRIME = 10**18 + 3
+
+
 def exit_code(argv):
     """main's exit code, whether main returns it or argparse exits with it."""
     try:
@@ -76,16 +80,34 @@ def exit_code(argv):
         ["upper", "--in", "g.fn.json", "--epsilon", "0"],
         ["upper", "--in", "g.fn.json", "--epsilon", "-1"],
         ["upper", "--in", "g.fn.json", "--epsilon", "nan"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "0.05", "--rho0", "inf"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "0.05", "--rho0", "0"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "nan"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--alpha", "-0.5"],
+        ["construct", "--kind", "behrend", "--n", str(HUGE_PRIME)],
+        ["construct", "--kind", "model", "--n", str(HUGE_PRIME)],
+        ["construct", "--kind", "lowap", "--alpha", "0.05", "--n", str(HUGE_PRIME)],
+        ["construct", "--kind", "interval", "--alpha", "0.1", "--n", str(HUGE_PRIME)],
+        ["construct", "--kind", "product", "--factors", f"5,{HUGE_PRIME}"],
+        ["construct", "--kind", "behrend", "--n", str(10**30)],
     ],
     ids=["product-no-factors", "product-retries-0", "interval-retries-0", "product-epsilon-0",
-         "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan"],
+         "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan",
+         "upper-rho0-inf", "upper-rho0-0", "verify-epsilon-nan", "verify-alpha-negative",
+         "behrend-n-huge", "model-n-huge", "lowap-n-huge", "interval-n-huge",
+         "product-factors-huge", "behrend-n-beyond-numpy-dimension"],
 )
-def test_bad_flags_exit_2(tmp_path, capsys, argv):
+def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # bad flag values exit 2 with an error line, never in a traceback with
-    # exit 1, the code of a failed verification; upper's input is never read
-    assert exit_code(argv + ["--out", str(tmp_path / "c")]) == 2
+    # exit 1, the code of a failed verification, even when the input file is
+    # good; nothing is written, and a size no vector can hold is rejected
+    # before any primality test of it
+    monkeypatch.chdir(tmp_path)
+    save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), "g.fn.json")
+    out = [] if argv[0] == "verify" else ["--out", "c"]
+    assert exit_code(argv + out) == 2
     assert "error:" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["g.fn.json"]
 
 
 def test_construct_model_certificate_checks_properties(tmp_path, monkeypatch):
@@ -236,6 +258,10 @@ LOADER_FUZZ = {
     "set-elements-null": {"elements": None, "n": 11},
     "set-N-unallocatable": {"elements": [1], "N": 10**18},
     "set-N-beyond-numpy-dimension": {"elements": [1], "N": 10**30},
+    # each is rejected before the factor's primality is tested
+    "factor-huge-values-short": _fn_file(kind="product", n=HUGE_PRIME, factors=[HUGE_PRIME],
+                                         values=[0.25] * 3),
+    "factor-huge-product-wrong": _fn_file(kind="product", n=15, factors=[HUGE_PRIME]),
 }
 
 
@@ -327,6 +353,22 @@ def test_upper_without_large_coefficient(tmp_path):
     trace = json.loads((tmp_path / "t.trace.json").read_text())
     assert trace["collapsed"] is True
     assert all(lv["S_size"] == 0 and lv["B_size"] == 1009 for lv in trace["levels"])
+
+
+def test_upper_regularity_failure_exit_6(tmp_path, capsys, monkeypatch):
+    # a failed guarantee inside the search is not malformed input
+    from popdiff import bohr
+    from popdiff.errors import RegularityError
+
+    def fail(*args, **kwargs):
+        raise RegularityError("no regular scale found")
+
+    monkeypatch.setattr(bohr, "upper_search", fail)
+    save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "f.json")
+    assert main(["upper", "--in", str(tmp_path / "f.json"), "--epsilon", "0.05",
+                 "--out", str(tmp_path / "t")]) == 6
+    assert capsys.readouterr().err.startswith("error: no regular scale found")
+    assert not (tmp_path / "t.trace.json").exists()
 
 
 def test_upper_degenerate_exit(tmp_path):
