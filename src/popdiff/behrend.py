@@ -1,17 +1,5 @@
-"""Progression-free sets in [N] and low-3-AP-density subsets of Z_n.
-
-Two generators are combined:
-
-* an exact maximizer for N <= 40, built bottom-up: r(N) is either r(N-1)+1
-  or r(N-1), and the smaller exact values r(k) bound every branch of a
-  depth-first search (Gasarch-Glenn-Kruskal).  Its witness is the
-  lexicographically smallest maximum AP-free subset of [N];
-* above that, the ternary set 1 + {0 <= x < N : no base-3 digit of x is 2}
-  in closed form.  It is AP-free because x + z = 2y among digit-0/1 numbers
-  adds digits without carries, which forces x = y = z.  It is the set the
-  greedy sieve from 1 produces (Odlyzko-Stanley), and for every
-  40 < N <= 10^9 it is at least 2.6 times the largest square-sum class of
-  Behrend's digit/sphere construction that fits in [N].
+"""Low-3-AP-density subsets of Z_n, built from the progression-free sets of
+[N] in ``apfree``.
 
 ``low_ap_density_subset`` turns an AP-free set A of [N] into a dense subset
 of Z_n with few 3-APs, by one of two routes: for n <= 4N the densest piece of
@@ -23,103 +11,19 @@ block.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+# is_apfree is not used here; the acceptance suite imports it from this module
+from .apfree import BRUTE_CAP, apfree_set, brute_max_apfree, is_apfree  # noqa: F401
 from .aps import ap_sums, within
 from .domains import DensityFn, cyclic
 from .errors import DomainError, InfeasibleError
 
-BRUTE_CAP = 40
 # largest interval bound N that low_ap_density_subset tries; it decides the
 # candidate intervals, so it is part of every lowap artifact
 _INTERVAL_CAP = 4096
-
-
-def is_apfree(elements) -> bool:
-    """Pairwise midpoint check: no a < c in the set with (a+c)/2 also in it."""
-    arr = sorted(int(v) for v in elements)
-    eset = set(arr)
-    for i, a in enumerate(arr):
-        for c in arr[i + 1 :]:
-            if (a + c) % 2 == 0 and (a + c) // 2 in eset:
-                return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def brute_max_apfree(n: int) -> tuple[int, tuple]:
-    """Exact r(n), the largest 3-AP-free subset size of [n], with a witness; n <= 40.
-
-    Built bottom-up: r(k) for every k < n comes from this cached function.
-    Since r(n-1) <= r(n) <= r(n-1) + 1, the search looks for a set of size
-    r(n-1) + 1 and, failing that, of size r(n-1).  It is a depth-first
-    search over z = 1..n in increasing order; a bitmask holds every 2y - x
-    over chosen x < y (the points that would complete a 3-AP), and a branch
-    whose next candidate is z is cut when len(chosen) + r(n - z + 1) falls
-    short, because an AP-free subset of [z..n] is a translate of one of
-    [1..n-z+1].  The witness is the first set found, so it is the
-    lexicographically smallest maximum AP-free subset of [n].
-    """
-    if n < 1:
-        raise DomainError("n must be positive")
-    if n > BRUTE_CAP:
-        raise DomainError(f"exhaustive search capped at n <= {BRUTE_CAP}")
-    r = [0] + [brute_max_apfree(k)[0] for k in range(1, n)]
-    r.append(r[-1] + 1)  # r(n) <= r(n-1) + 1 bounds the branch at z = 1
-    chosen: list = []
-
-    def rec(start: int, forb: int, m: int) -> bool:
-        if len(chosen) == m:
-            return True
-        for z in range(start, n + 1):
-            if len(chosen) + r[n - z + 1] < m:
-                return False  # r is nondecreasing, so later z cannot do better
-            if forb >> z & 1:
-                continue
-            grown = forb
-            for x in chosen:
-                grown |= 1 << (2 * z - x)
-            chosen.append(z)
-            if rec(z + 1, grown, m):
-                return True
-            chosen.pop()
-        return False
-
-    # a failed search leaves chosen empty; the witness for [n-1] has size r(n-1)
-    if not rec(1, 0, r[n - 1] + 1):
-        rec(1, 0, r[n - 1])
-    return len(chosen), tuple(chosen)
-
-
-def _ternary_set(n: int) -> np.ndarray:
-    """1 + {0 <= x < n : no base-3 digit of x is 2}, ascending.
-
-    Doubling: the digit-0/1 numbers below 3^(k+1) are those below 3^k and
-    the same shifted by 3^k, so each pass appends a shifted copy.
-    """
-    x = np.zeros(1, dtype=np.int64)
-    step = 1
-    while step < n:
-        x = np.concatenate((x, x + step))
-        step *= 3
-    return x[x < n] + 1
-
-
-def apfree_set(n: int) -> np.ndarray:
-    """A large 3-AP-free subset of [n]; exact for n <= 40, deterministic always."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    if n <= BRUTE_CAP:
-        _, witness = brute_max_apfree(n)
-        return np.asarray(witness, dtype=np.int64)
-    return _ternary_set(n)
-
-
-# ---------------------------------------------------------------------------
-# low-AP subsets of Z_n
 
 
 @dataclass
@@ -157,7 +61,7 @@ def _apfree_sizes_up_to(cap: int) -> np.ndarray:
     if cap > BRUTE_CAP:
         # the ternary sets for N <= cap are prefixes of the one for cap
         member = np.zeros(cap + 1, dtype=np.int64)
-        member[_ternary_set(cap)] = 1
+        member[np.asarray(apfree_set(cap))] = 1
         sizes[BRUTE_CAP + 1 :] = np.cumsum(member)[BRUTE_CAP + 1 :]
     return sizes
 
@@ -185,7 +89,7 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
     bound = max(1.0 / n, density_bound(alpha))
 
     for n_a in sorted(candidates, reverse=True):
-        a_set = apfree_set(n_a)
+        a_set = np.asarray(apfree_set(n_a), dtype=np.int64)
         if n <= 4 * n_a:
             elems = _windowed_subset(a_set, n)
         else:

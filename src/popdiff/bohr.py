@@ -227,7 +227,7 @@ def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int | None:
             return i
     if len(seq) <= horizon:
         return None
-    raise DomainError("no increment index within the guaranteed horizon (upstream bug)")
+    raise RegularityError("no increment index within the guaranteed horizon (upstream bug)")
 
 
 # ---------------------------------------------------------------------------

@@ -89,22 +89,19 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _value_vector(size: int, what: str):
-    """np.zeros(size), or a DomainError naming ``what`` when no float vector
-    of that length can be allocated."""
-    import numpy as np
-
+def _check_size(size: int, what: str) -> None:
+    """A DomainError naming ``what`` when no float vector of ``size`` entries
+    can be allocated.  bytes(8 * size) is the same lazily zeroed calloc as
+    np.zeros(size), so the probe touches no page and needs no numpy."""
     try:
-        return np.zeros(size)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's maximum dimension
+        bytes(8 * size)
+    except (MemoryError, OverflowError) as exc:  # OverflowError: beyond the index range
         raise DomainError(f"{what} = {size} is too large to hold a value vector") from exc
 
 
 def _construction(args) -> tuple:
     """(params, artifact, certificate body, ok) of one construct kind; the
     artifact is a function file or a set artifact."""
-    from .domains import fn_to_dict
-
     alpha, n = args.alpha, args.n
     # a size that no vector can hold exits 2 before any primality test or
     # loop over it; each kind rejects a size below 1 with its own message
@@ -113,8 +110,9 @@ def _construction(args) -> tuple:
     else:
         size, what = n, "--n"
     if size >= 1:
-        _value_vector(size, what)
+        _check_size(size, what)
     if args.kind == "model":
+        from .domains import fn_to_dict
         from .modelfn import build_model_fn, model_fn_extra, verify_model_properties
 
         m = build_model_fn(alpha, n)
@@ -122,12 +120,12 @@ def _construction(args) -> tuple:
         cert = {"kind": "model", "ok": ok}
         return {"alpha": alpha, "n": n}, fn_to_dict(m.fn, model_fn_extra(m)), cert, ok
     if args.kind == "behrend":
-        from .behrend import apfree_set, is_apfree
+        from .apfree import apfree_set, is_apfree
 
         s = apfree_set(n)
         ok = is_apfree(s)
         cert = {"kind": "behrend", "ok": ok, "size": len(s)}
-        return {"N": n}, {"elements": [int(v) for v in s], "N": n}, cert, ok
+        return {"N": n}, {"elements": list(s), "N": n}, cert, ok
     if args.kind == "lowap":
         from .behrend import low_ap_density_subset
 
@@ -135,6 +133,8 @@ def _construction(args) -> tuple:
         ok = bool(x.ok)
         cert = {"kind": "lowap", "ok": ok, "bound": x.bound}
         return {"n": n, "alpha": alpha}, x.to_dict(), cert, ok
+    from .domains import fn_to_dict
+
     if args.kind == "product":
         from .product import ProductParams, construct_product
 
@@ -199,7 +199,8 @@ def _set_indicator(obj: dict):
     bad = next((v for v in elements if not lo <= v < lo + size), None)
     if bad is not None:
         raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
-    vals = _value_vector(size, f"set artifact {key}")
+    _check_size(size, f"set artifact {key}")
+    vals = np.zeros(size)
     vals[np.asarray(elements, dtype=np.int64) - lo] = 1.0
     return DensityFn(cyclic(size) if key == "n" else interval(size), vals)
 

@@ -43,4 +43,5 @@ class DegenerateBohrError(PopdiffError, RuntimeError):
 
 
 class RegularityError(PopdiffError, RuntimeError):
-    """No regular scale was found where one is guaranteed to exist."""
+    """A search found nothing where the theory guarantees a result: no regular
+    Bohr scale, or no increment index within its horizon."""

@@ -41,9 +41,22 @@ def lambda_weighted_spectral(fvals: np.ndarray, phi: np.ndarray) -> float:
     return float(total.real)
 
 
+def pairwise_apfree(elements) -> bool:
+    """Pairwise midpoint check: no a < c in the set with (a+c)/2 also in it.
+    A repeated value a fails it, since the pair (a, a) has midpoint a.
+    O(|A|^2); the reference for apfree.is_apfree."""
+    arr = sorted(int(v) for v in elements)
+    eset = set(arr)
+    for i, a in enumerate(arr):
+        for c in arr[i + 1 :]:
+            if (a + c) % 2 == 0 and (a + c) // 2 in eset:
+                return False
+    return True
+
+
 def greedy_apfree(n: int) -> np.ndarray:
     """Greedy sieve over 1..n: keep z unless it completes a 3-AP x < y < z
-    with x and y already kept.  O(n^2); the reference for behrend.apfree_set
+    with x and y already kept.  O(n^2); the reference for apfree.apfree_set
     above its exact cap."""
     member = np.zeros(n + 1, dtype=bool)
     for z in range(1, n + 1):

@@ -1,22 +1,22 @@
 """Progression-free sets and low-AP subsets of Z_n."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popdiff.apfree import apfree_set, brute_max_apfree, is_apfree
 from popdiff.behrend import (
     _apfree_sizes_up_to,
-    apfree_set,
-    brute_max_apfree,
     density_bound,
-    is_apfree,
     low_ap_density_subset,
     scaled_indicator,
 )
 from popdiff.aps import _pair_sums, ap_sums
 from popdiff.errors import DomainError
-from oracles import greedy_apfree
+from oracles import greedy_apfree, pairwise_apfree
 
 
 def bitmask_max_apfree(n: int) -> tuple[int, tuple]:
@@ -93,7 +93,27 @@ def test_apfree_set_properties():
     for n in (50, 100, 300):
         s = apfree_set(n)
         assert is_apfree(s)
-        assert s.min() >= 1 and s.max() <= n
+        assert min(s) >= 1 and max(s) <= n
+
+
+def test_is_apfree_matches_pairwise_on_every_small_set():
+    # every subset of [N] for N <= 12
+    for size in range(13):
+        for subset in itertools.combinations(range(1, 13), size):
+            assert is_apfree(subset) == pairwise_apfree(subset), subset
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-40, 40), max_size=12))
+def test_is_apfree_matches_pairwise_on_lists(values):
+    # unsorted, repeated, negative and short inputs alike
+    assert is_apfree(values) == pairwise_apfree(values)
+    assert is_apfree(reversed(values)) == pairwise_apfree(values)
+
+
+def test_is_apfree_rejects_repeats_and_one_added_point():
+    assert not is_apfree([4, 4])  # a repeated value is its own midpoint
+    assert not is_apfree(list(apfree_set(1000)) + [3])  # 1, 2, 3
 
 
 def test_apfree_set_is_the_greedy_sieve():

@@ -28,7 +28,7 @@ from popdiff.bohr import (
     upper_search,
 )
 from popdiff.domains import DensityFn, cyclic
-from popdiff.errors import DegenerateBohrError, DomainError
+from popdiff.errors import DegenerateBohrError, DomainError, RegularityError
 from popdiff.fourier import dft_values
 from popdiff.modelfn import build_model_fn
 
@@ -193,7 +193,7 @@ def test_pick_increment_index():
     assert pick_increment_index([a3 + 0.2, a3 + 0.1], alpha, eps) == 1
     assert pick_increment_index([a3], alpha, eps) is None  # too short, no hit
     # past the horizon (1 at eps = 1.9) a miss is an error
-    with pytest.raises(DomainError):
+    with pytest.raises(RegularityError):
         pick_increment_index([a3, 0.99], alpha, 1.9)
 
 

@@ -326,7 +326,7 @@ def test_construct_interval_exit_codes(tmp_path, capsys):
 def test_readme_cli_block(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = readme_cli_commands()
-    assert len(commands) == 7
+    assert len(commands) == 8
     for argv, code in commands:
         assert main(argv) == code, argv
 

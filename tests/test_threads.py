@@ -92,8 +92,9 @@ IMPORT_CASES = {
     "verify-set": (["verify", "--in", "s.set.json", "--epsilon", "0.5"], 0, SCAN),
     "upper": (["upper", "--in", "u.fn.json", "--epsilon", "0.05", "--out", "o"], 0,
               ("behrend", "product", "interval", "modelfn")),
-    "construct-behrend": (["construct", "--kind", "behrend", "--n", "27", "--out", "o"], 0,
-                          ("bohr", "product", "interval", "modelfn")),
+    "construct-behrend": (["construct", "--kind", "behrend", "--n", "27", "--out", "o"], 0, BARE),
+    "construct-lowap": (["construct", "--kind", "lowap", "--alpha", "0.05", "--n", "55",
+                         "--out", "o"], 0, ("bohr", "product", "interval", "modelfn")),
 }
 
 PROBE = """
