@@ -85,22 +85,31 @@ def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
 
 def _pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
     """Full S table of a {0,1} vector by counting support pairs (x, y = x+d)
-    whose continuation 2y - x is in the support; exact integer counts."""
+    whose continuation 2y - x is in the support; exact integer counts.
+
+    On an interval a pair counts only when x <= y and 2y - x < n, so a block
+    of rows x <= x_max takes only the columns x_min <= y <= (n - 1 + x_max)/2.
+    """
     n = len(v)
+    member = v == 1
     a = np.flatnonzero(v)
     size = n if cyclic else (n - 1) // 2 + 1
     counts = np.zeros(size, dtype=np.int64)
     step = max(1, _PAIR_BLOCK // max(a.size, 1))
     for lo in range(0, a.size, step):
-        y = a if cyclic else a[lo:]  # on an interval only y >= x counts
-        d = y[None, :] - a[lo : lo + step, None]
+        x = a[lo : lo + step]
+        if cyclic:
+            y = a
+        else:
+            y = a[lo : np.searchsorted(a, (n - 1 + int(x[-1])) // 2, side="right")]
+        d = y[None, :] - x[:, None]
         z = y[None, :] + d  # 2y - x
         if cyclic:
             d, z = d % n, z % n
         else:
             keep = (d >= 0) & (z < n)
             d, z = d[keep], z[keep]
-        counts += np.bincount(d[v[z] == 1], minlength=size)
+        counts += np.bincount(d[member[z]], minlength=size)
     return counts.astype(np.float64)
 
 

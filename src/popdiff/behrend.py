@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# is_apfree is not used here; the acceptance suite imports it from this module
-from .apfree import BRUTE_CAP, apfree_set, brute_max_apfree, is_apfree  # noqa: F401
+# brute_max_apfree and is_apfree are not used here; the acceptance suite
+# imports them from this module
+from .apfree import (  # noqa: F401
+    BRUTE_CAP,
+    apfree_set,
+    brute_max_apfree,
+    is_apfree,
+    max_apfree_sizes,
+)
 from .aps import ap_sums, within
 from .domains import DensityFn, cyclic
 from .errors import DomainError, InfeasibleError
@@ -54,10 +61,11 @@ def density_bound(alpha: float) -> float:
 
 
 def _apfree_sizes_up_to(cap: int) -> np.ndarray:
-    """sizes[N] = size of apfree_set's output for each N <= cap."""
+    """sizes[N] = size of apfree_set's output for each N <= cap; the exact
+    sizes up to BRUTE_CAP come without their witnesses."""
     sizes = np.zeros(cap + 1, dtype=np.int64)
-    for m in range(1, min(BRUTE_CAP, cap) + 1):
-        sizes[m] = brute_max_apfree(m)[0]
+    small = min(BRUTE_CAP, cap)
+    sizes[: small + 1] = max_apfree_sizes(small)
     if cap > BRUTE_CAP:
         # the ternary sets for N <= cap are prefixes of the one for cap
         member = np.zeros(cap + 1, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Slow, independent reference computations that tests compare the package
 against; nothing in src/ calls them."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -68,3 +69,73 @@ def greedy_apfree(n: int) -> np.ndarray:
                 continue
         member[z] = True
     return np.flatnonzero(member)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_max_apfree(n: int) -> tuple[int, tuple]:
+    """Exact r(n), the largest 3-AP-free subset size of [n], with a witness; n <= 40.
+    The reference for apfree.brute_max_apfree: its earlier search, which
+    rebuilds every r(k), k < n, with its witness.
+
+    Built bottom-up: r(k) for every k < n comes from this cached function.
+    Since r(n-1) <= r(n) <= r(n-1) + 1, the search looks for a set of size
+    r(n-1) + 1 and, failing that, of size r(n-1).  It is a depth-first
+    search over z = 1..n in increasing order; a bitmask holds every 2y - x
+    over chosen x < y (the points that would complete a 3-AP), and a branch
+    whose next candidate is z is cut when len(chosen) + r(n - z + 1) falls
+    short, because an AP-free subset of [z..n] is a translate of one of
+    [1..n-z+1].  The witness is the first set found, so it is the
+    lexicographically smallest maximum AP-free subset of [n].
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    if n > 40:
+        raise DomainError("exhaustive search capped at n <= 40")
+    r = [0] + [reference_max_apfree(k)[0] for k in range(1, n)]
+    r.append(r[-1] + 1)  # r(n) <= r(n-1) + 1 bounds the branch at z = 1
+    chosen: list = []
+
+    def rec(start: int, forb: int, m: int) -> bool:
+        if len(chosen) == m:
+            return True
+        for z in range(start, n + 1):
+            if len(chosen) + r[n - z + 1] < m:
+                return False  # r is nondecreasing, so later z cannot do better
+            if forb >> z & 1:
+                continue
+            grown = forb
+            for x in chosen:
+                grown |= 1 << (2 * z - x)
+            chosen.append(z)
+            if rec(z + 1, grown, m):
+                return True
+            chosen.pop()
+        return False
+
+    # a failed search leaves chosen empty; the witness for [n-1] has size r(n-1)
+    if not rec(1, 0, r[n - 1] + 1):
+        rec(1, 0, r[n - 1])
+    return len(chosen), tuple(chosen)
+
+
+def reference_pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
+    """Full S table of a {0,1} vector by counting support pairs (x, y = x+d)
+    whose continuation 2y - x is in the support; exact integer counts.
+    The reference for aps._pair_sums: its earlier form, which gives every row
+    block on an interval all columns y >= x."""
+    n = len(v)
+    a = np.flatnonzero(v)
+    size = n if cyclic else (n - 1) // 2 + 1
+    counts = np.zeros(size, dtype=np.int64)
+    step = max(1, (1 << 18) // max(a.size, 1))
+    for lo in range(0, a.size, step):
+        y = a if cyclic else a[lo:]  # on an interval only y >= x counts
+        d = y[None, :] - a[lo : lo + step, None]
+        z = y[None, :] + d  # 2y - x
+        if cyclic:
+            d, z = d % n, z % n
+        else:
+            keep = (d >= 0) & (z < n)
+            d, z = d[keep], z[keep]
+        counts += np.bincount(d[v[z] == 1], minlength=size)
+    return counts.astype(np.float64)

@@ -26,6 +26,7 @@ from popdiff.fourier import dft, idft
 from popdiff.interval import scan_interval_fn
 from popdiff.modelfn import build_model_fn
 from popdiff.product import ProductParams, construct_product
+from oracles import reference_pair_sums
 
 
 def brute_total(values):
@@ -201,6 +202,30 @@ def test_pair_backend_matches_dense_bitwise(values, cyclic):
     assert np.array_equal(pairs, dense)
     assert pairs.tolist() == brute_sums(values, cyclic)
     assert np.array_equal(ap_sums(v, cyclic=cyclic), dense)
+
+
+def _interval_pairs_match_reference(v, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popdiff.aps, "_PAIR_BLOCK", block)
+        got = _pair_sums(v, cyclic=False)
+    want = reference_pair_sums(v, cyclic=False)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=300),
+       st.sampled_from([1, 7, 64, 1 << 18]))
+def test_interval_pair_backend_matches_reference(values, block):
+    # the interval backend gives each row block only the columns whose
+    # continuation stays in [N]; small blocks make many blocks per set
+    assert _interval_pairs_match_reference(np.asarray(values), block)
+
+
+def test_interval_pair_backend_matches_reference_on_every_subset():
+    # every subset of [12], one row per block and one block for all rows
+    bits = (np.arange(1 << 12)[:, None] >> np.arange(12)) & 1
+    for row in bits.astype(np.float64):
+        assert _interval_pairs_match_reference(row, 1)
+        assert _interval_pairs_match_reference(row, 1 << 18)
 
 
 @given(unit_values, st.booleans(), st.data())

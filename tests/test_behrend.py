@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popdiff.apfree import apfree_set, brute_max_apfree, is_apfree
+from popdiff.apfree import apfree_set, brute_max_apfree, is_apfree, max_apfree_sizes
 from popdiff.behrend import (
     _apfree_sizes_up_to,
     density_bound,
@@ -16,7 +16,7 @@ from popdiff.behrend import (
 )
 from popdiff.aps import _pair_sums, ap_sums
 from popdiff.errors import DomainError
-from oracles import greedy_apfree, pairwise_apfree
+from oracles import greedy_apfree, pairwise_apfree, reference_max_apfree
 
 
 def bitmask_max_apfree(n: int) -> tuple[int, tuple]:
@@ -57,7 +57,26 @@ R_1_TO_40 = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9,
 def test_brute_pinned_values():
     # values produced by the earlier greedy-seeded branch and bound
     assert [brute_max_apfree(n)[0] for n in range(1, 41)] == R_1_TO_40
+    assert max_apfree_sizes(40) == (0, *R_1_TO_40)
     assert brute_max_apfree(40)[1] == (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40)
+
+
+def test_brute_matches_reference_search():
+    # every size and every witness, the lexicographically first maximum set,
+    # equals the earlier search's for every n <= BRUTE_CAP
+    for n in range(1, 41):
+        assert brute_max_apfree(n) == reference_max_apfree(n), n
+
+
+def test_apfree_sizes_up_to_unchanged():
+    # the exact sizes up to 40, then the ternary set counted, as before
+    want = np.zeros(4097, dtype=np.int64)
+    want[1:41] = [reference_max_apfree(m)[0] for m in range(1, 41)]
+    member = np.zeros(4097, dtype=np.int64)
+    member[greedy_apfree(4096)] = 1
+    want[41:] = np.cumsum(member)[41:]
+    sizes = _apfree_sizes_up_to(4096)
+    assert sizes.dtype == want.dtype and np.array_equal(sizes, want)
 
 
 @settings(max_examples=60)
@@ -80,8 +99,11 @@ def test_brute_examples():
 
 
 def test_brute_cap():
-    with pytest.raises(DomainError):
-        brute_max_apfree(41)
+    for search, n in ((brute_max_apfree, 41), (brute_max_apfree, 0),
+                      (max_apfree_sizes, 41), (max_apfree_sizes, -1)):
+        with pytest.raises(DomainError):
+            search(n)
+    assert max_apfree_sizes(0) == (0,)
 
 
 def test_apfree_set_properties():

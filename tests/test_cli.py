@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popdiff.cli import main
+from popdiff.cli import BEHREND_MAX_N, main
 from popdiff.domains import DensityFn, cyclic, save_fn
 
 
@@ -90,12 +90,13 @@ def exit_code(argv):
         ["construct", "--kind", "interval", "--alpha", "0.1", "--n", str(HUGE_PRIME)],
         ["construct", "--kind", "product", "--factors", f"5,{HUGE_PRIME}"],
         ["construct", "--kind", "behrend", "--n", str(10**30)],
+        ["construct", "--kind", "behrend", "--n", str(BEHREND_MAX_N + 1)],
     ],
     ids=["product-no-factors", "product-retries-0", "interval-retries-0", "product-epsilon-0",
          "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan",
          "upper-rho0-inf", "upper-rho0-0", "verify-epsilon-nan", "verify-alpha-negative",
          "behrend-n-huge", "model-n-huge", "lowap-n-huge", "interval-n-huge",
-         "product-factors-huge", "behrend-n-beyond-numpy-dimension"],
+         "product-factors-huge", "behrend-n-beyond-numpy-dimension", "behrend-n-above-check-bound"],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # bad flag values exit 2 with an error line, never in a traceback with
@@ -108,6 +109,15 @@ def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert exit_code(argv + out) == 2
     assert "error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["g.fn.json"]
+
+
+def test_behrend_n_bound_is_named(tmp_path, capsys):
+    # the check of the set costs about |A| N / 64 word operations, so the
+    # largest --n it admits is part of the error line
+    argv = ["construct", "--kind", "behrend", "--n", str(BEHREND_MAX_N + 1), "--out", str(tmp_path / "b")]
+    assert main(argv) == 2
+    assert f"above {BEHREND_MAX_N}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_model_certificate_checks_properties(tmp_path, monkeypatch):
@@ -133,6 +143,34 @@ def test_construct_behrend(tmp_path):
         for c in els:
             if a < c and (a + c) % 2 == 0:
                 assert (a + c) // 2 not in eset or (a + c) // 2 in (a, c)
+
+
+# sha256 of the .set.json and .cert.json that `construct --kind behrend --n N`
+# writes; they hold only integers, booleans and strings (the version among
+# them), so the bytes do not depend on the machine
+BEHREND_SHA256 = {
+    1: ("7e35e27f9745a1d2038ac37fad8da7b56c7227df0e78a61e777457f7218158cf",
+        "b68cca2c6e5ef67f4742015bc2bf931e8b8e08b99848026b93c4f65b51d1450f"),
+    27: ("dc584c86c1d39f15ca70700ea8e4161ab29f968fb0f5fcd0edd392c8afeac958",
+         "aefb601419814a2488e990809cbee30caf1e2c37019c004c76d1ad36d84f335d"),
+    32: ("b6a8d0f1d96361386c980f177a168b0d72095f5d7cedd59fd502ae23753919bd",
+         "4efbce0ea096a09d156320c13655ff8b65f78d7abd6fa35af7ea02accd4d0018"),
+    40: ("d0a3f4a17d8df935994f6db8a760e437ccf96b0c40627cdd4a74b737878ff551",
+         "7866c32ccd96bcf0a98996eb343f23cb1218fd271685f5bf91366f4d433c09ba"),
+    41: ("85c93e843e8151bf9054b1dfe445dbf450c504ec77034eee19b04d66c3fef81f",
+         "2bc4aa2b62d53b4ef77b59b13626a03da38272c043e8bb398e362cbf93b61eff"),
+    100: ("4c916df706278d7e75d3dc1195c017cb3e7e698575b745a1e9ce5e8067cb74f6",
+          "3c5c327ded65115e6512a382ed670c30c044589f952d88586637c158aa062831"),
+    100000: ("bfbd238856695b46866b3f6a05ab7a92fc7333bd9538b6cf60fc224ffa2a3bcd",
+             "df3262e7cd3c0b27974e8a2838b1f631adb95baa68a3cc3e0a439b239381e93c"),
+}
+
+
+@pytest.mark.parametrize("n", BEHREND_SHA256)
+def test_construct_behrend_golden_bytes(tmp_path, n):
+    out = tmp_path / "b"
+    assert main(["construct", "--kind", "behrend", "--n", str(n), "--out", str(out)]) == 0
+    assert (digest(f"{out}.set.json"), digest(f"{out}.cert.json")) == BEHREND_SHA256[n]
 
 
 def test_construct_product_exit_codes(tmp_path):
