@@ -146,23 +146,10 @@ def _block_subset(a_set: np.ndarray, n: int, n_a: int, alpha: float):
         if len(a_use) * t < alpha * n:
             return None
     doubled = 2 * a_use
-    _assert_no_approximate_ap(doubled)
     offs = np.arange(1, t + 1, dtype=np.int64)
     elems = ((doubled[:, None] - 1) * t + offs[None, :]).ravel()
     assert elems.max() <= n // 2, "block construction escaped the half-line"
     return elems % n
-
-
-def _assert_no_approximate_ap(s: np.ndarray) -> None:
-    # |2z - x - y| <= 1 must force x = y = z on the doubled set
-    vals = np.asarray(s, dtype=np.int64)
-    sums = vals[:, None] + vals[None, :]
-    for z in vals:
-        close = np.abs(2 * z - sums) <= 1
-        xi, yi = np.nonzero(close)
-        for i, j in zip(xi, yi):
-            if not (vals[i] == vals[j] == z):
-                raise AssertionError("doubled set admits an approximate 3-AP")
 
 
 def scaled_indicator(x_set: LowAPSubset, alpha_star: float) -> DensityFn:

@@ -94,46 +94,48 @@ def double(b: BohrSet) -> BohrSet:
 # regularity
 
 
-def is_regular(b: BohrSet) -> bool:
-    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta <= 1/(80d).
+def _regular(sorted_dist: np.ndarray, r: float, d: int) -> bool:
+    """The regularity inequality of the codimension-d Bohr set of radius r
+    (in dist units), read off its sorted distance table.
 
     Both sides only change at distances realized by group elements, so the
-    check evaluates the inequality exactly at every realized breakpoint.
+    check evaluates the inequality exactly at every realized breakpoint; a
+    repeated distance repeats a candidate delta and changes nothing.
     """
-    d = b.codim
-    if d < 1:
-        raise DomainError("regularity needs codimension >= 1")
-    delta_max = 1 / (80 * d)
-    r = b.rho * b.n
     if r <= _EL_EPS:
         return True  # radius 0: both scaled sets coincide for all small delta
-    distinct = np.unique(b.dist)
-    cand = [delta_max]
-    up = distinct / r - 1
-    cand.extend(up[(up > 0) & (up <= delta_max)])
-    down = 1 - distinct / r
-    down = down[(down > 0) & (down < delta_max)]
-    cand.extend(down + 1e-12)  # just past the exit breakpoint
-    cand = np.asarray(cand)
-    sorted_dist = np.sort(b.dist)
+    delta_max = 1 / (80 * d)
+    up = sorted_dist / r - 1
+    up = up[(up > 0) & (up <= delta_max)]
+    down = 1 - sorted_dist / r
+    down = down[(down > 0) & (down < delta_max)] + 1e-12  # just past the exit breakpoint
+    cand = np.concatenate(([delta_max], up, down))
     hi = np.searchsorted(sorted_dist, (1 + cand) * r + _EL_EPS, side="right")
     lo = np.searchsorted(sorted_dist, (1 - cand) * r + _EL_EPS, side="right")
-    lhs = hi - lo
-    rhs = 160 * cand * d * b.size
-    return bool(np.all(lhs <= rhs + 1e-9))
+    size = int(np.searchsorted(sorted_dist, r + _EL_EPS, side="right"))
+    return bool(np.all(hi - lo <= 160 * cand * d * size + 1e-9))
+
+
+def is_regular(b: BohrSet) -> bool:
+    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta <= 1/(80d)."""
+    if b.codim < 1:
+        raise DomainError("regularity needs codimension >= 1")
+    return _regular(np.sort(b.dist), b.rho * b.n, b.codim)
 
 
 def find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
     """Largest nu in [1/2, 1] with (B)_nu regular.
 
     Candidates are the element-induced radii in the window plus the window
-    ends and gap midpoints; each candidate is checked exactly.  Radius 0, or
-    no frequency (B(emptyset, rho) = Z_n), is regular at every scale: nu = 1.
+    ends and gap midpoints; each candidate is checked exactly against one
+    sorted distance table.  Radius 0, or no frequency (B(emptyset, rho) =
+    Z_n), is regular at every scale: nu = 1.
     """
     r = b.rho
     if r == 0 or not b.freqs:
         return 1.0, dilate(b, 1.0)
-    breaks = np.unique(b.dist) / b.n
+    sorted_dist = np.sort(b.dist)
+    breaks = sorted_dist / b.n
     breaks = breaks[(breaks >= 0.5 * r - 1e-15) & (breaks <= r + 1e-15)]
     cand = set([0.5 * r, r])
     cand.update(breaks.tolist())
@@ -141,9 +143,8 @@ def find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
     for a, bb in zip(ordered, ordered[1:]):
         cand.add((a + bb) / 2)
     for radius in sorted(cand, reverse=True):
-        scaled = _from_dist(b.n, b.freqs, radius, b.dist)
-        if is_regular(scaled):
-            return radius / r, scaled
+        if _regular(sorted_dist, radius * b.n, b.codim):
+            return radius / r, _from_dist(b.n, b.freqs, radius, b.dist)
     raise RegularityError(
         f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
     )
@@ -215,13 +216,15 @@ def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int | None:
     the prefix is no longer than the horizon.
 
     Guaranteed to exist within 2 log2(2/eps) terms when alpha^3 <= a_i <= 1;
-    a miss past that horizon signals an upstream bug.
+    a miss past that horizon signals an upstream bug.  The horizon is at
+    least 1: an index needs two terms, and for eps >= 2, where 2 log2(2/eps)
+    <= 0, alpha^3 - eps/2 < 0 lets index 1 qualify at the second term.
     """
     seq = [float(v) for v in a_seq]
     for v in seq:
         if not alpha**3 - 1e-9 <= v <= 1 + 1e-9:
             raise DomainError(f"sequence value {v} outside [alpha^3, 1]")
-    horizon = math.ceil(2 * math.log2(2 / epsilon))
+    horizon = max(1, math.ceil(2 * math.log2(2 / epsilon)))
     for i in range(1, len(seq)):
         if 2 * seq[i - 1] - seq[i] >= alpha**3 - epsilon / 2:
             return i

@@ -191,8 +191,8 @@ def cmd_upper(args) -> int:
 
 
 def _set_indicator(obj: dict):
-    """Indicator of a set artifact: residues 0..n-1 of Z_n under ``n``, or
-    members 1..N of the interval [N] under ``N``."""
+    """Indicator of a set artifact: distinct residues 0..n-1 of Z_n under
+    ``n``, or distinct members 1..N of the interval [N] under ``N``."""
     import numpy as np
 
     from .domains import DensityFn, _is_int, cyclic, interval
@@ -209,9 +209,10 @@ def _set_indicator(obj: dict):
     if bad is not None:
         raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
     _check_size(size, f"set artifact {key}")
-    vals = np.zeros(size)
-    vals[np.asarray(elements, dtype=np.int64) - lo] = 1.0
-    return DensityFn(cyclic(size) if key == "n" else interval(size), vals)
+    counts = np.bincount(np.asarray(elements, dtype=np.int64) - lo, minlength=size)
+    if counts.max() > 1:
+        raise FileFormatError(f"set element {int(counts.argmax()) + lo} is repeated")
+    return DensityFn(cyclic(size) if key == "n" else interval(size), counts.astype(np.float64))
 
 
 def cmd_verify(args) -> int:

@@ -161,13 +161,11 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
 
 @dataclass
 class LevelState:
-    level: int
     factors: tuple  # m_1..m_i
     values: np.ndarray  # f_i over Z_{n_i}, canonical labelling
     alpha: float
     alpha_prime: float
     density_table: np.ndarray  # per-d density for all d in Z_{n_i}
-    parent: "LevelState | None" = None
     modified: np.ndarray | None = None  # bool over Z_{n_{i-1}}
     coset_a: np.ndarray | None = None
     coset_b: np.ndarray | None = None
@@ -192,7 +190,6 @@ def build_level1(alpha: float, m1: int) -> LevelState:
     values = np.full(m1, ap)
     values[0] = 0.0
     return LevelState(
-        level=1,
         factors=(m1,),
         values=values,
         alpha=alpha,
@@ -251,26 +248,25 @@ def random_modify_level(
         values[mask] = g.values[(coset_a[w_of[mask]] * y_of[mask] + coset_b[w_of[mask]]) % m_next]
 
     new = LevelState(
-        level=state.level + 1,
         factors=state.factors + (m_next,),
         values=values,
         alpha=state.alpha,
         alpha_prime=ap,
-        density_table=np.empty(0),  # filled by verify_level
-        parent=state,
+        density_table=np.empty(0),  # filled below
         modified=modified,
         coset_a=coset_a,
         coset_b=coset_b,
         mu_effective=want / n_prev,
     )
-    new.density_table = _assemble_density_table(new)[w_of, y_of]
+    new.density_table = _assemble_density_table(state, new, g.spectrum.coeffs)[w_of, y_of]
     return new
 
 
-def _assemble_density_table(state: LevelState) -> np.ndarray:
+def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -> np.ndarray:
     """Exact per-difference densities of Q_i (see module docstring), as an
     (n_{i-1}, m_i) array whose entry (d', e) is the density at the d with
-    d' = d mod n_{i-1} and e = d mod m_i.
+    d' = d mod n_{i-1} and e = d mod m_i.  ``prev`` is level i-1 and
+    ``model_coeffs`` the spectrum of the model profile on Z_{m_i}.
 
     Expand each fiber as F_w(y) = sum_r c[w, r] e(-r y / m_i).  Then
     table[d] = base[d'] + (1/n_{i-1}) Re sum_w sum c[w, r0] c[w+d', r1]
@@ -278,11 +274,10 @@ def _assemble_density_table(state: LevelState) -> np.ndarray:
     with base the level-(i-1) table.  The amplitudes of each d' are binned
     by k = r1 + 2 r2, and one FFT of the bins evaluates every lift e.
     """
-    prev = state.parent
     n_prev = prev.n
     m = state.factors[-1]
     supp = np.array(model_support(m), dtype=np.int64)
-    ghat = build_model_fn(state.alpha_prime, m).spectrum.coeffs[supp]
+    ghat = model_coeffs[supp]
 
     # fiber w has coefficient val[w, j] at frequency freq[w, j]: an unmodified
     # fiber is the constant prev.values[w], a modified one g(a_w y + b_w)
@@ -403,6 +398,7 @@ def construct_product(
     state = build_level1(alpha, fac[0])
     verdict = verify_level(state, eps)
     retries = [{"level": 1, "attempts": 1, "passed": verdict.passed}]
+    mu_effective = [0.0]
     if not verdict.passed:
         raise RetriesExhausted(
             f"level 1 fails at every retry: max density {verdict.max_offdiag:.6g} "
@@ -422,6 +418,7 @@ def construct_product(
                 best = (cand, verdict, attempt)
             if verdict.passed:
                 state = cand
+                mu_effective.append(cand.mu_effective)
                 retries.append({"level": i, "attempts": attempt + 1, "passed": True})
                 passed = True
                 break
@@ -456,9 +453,7 @@ def construct_product(
         alpha_star=ap,
         fraction_at_alpha_star=frac,
         mu_requested=mu,
-        mu_effective=tuple(
-            [0.0] + [st.mu_effective for st in _state_chain(state)[1:]]
-        ),
+        mu_effective=tuple(mu_effective),
         conclusions={
             "max_offdiag_le_target": bool(verdict.passed),
             "mean_cube_le_3_2_alpha3": bool(within(mean_cube, 1.5 * alpha**3)),
@@ -468,12 +463,3 @@ def construct_product(
     )
     domain = product(fac) if len(fac) > 1 else cyclic(fac[0])
     return DensityFn(domain, state.values), cert
-
-
-def _state_chain(state: LevelState) -> list:
-    chain = []
-    cur = state
-    while cur is not None:
-        chain.append(cur)
-        cur = cur.parent
-    return chain[::-1]

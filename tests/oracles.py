@@ -6,7 +6,8 @@ import itertools
 
 import numpy as np
 
-from popdiff.errors import DomainError
+from popdiff.bohr import _EL_EPS, BohrSet, _from_dist, dilate
+from popdiff.errors import DomainError, RegularityError
 from popdiff.fourier import dft_values
 
 
@@ -139,3 +140,63 @@ def reference_pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
             d, z = d[keep], z[keep]
         counts += np.bincount(d[v[z] == 1], minlength=size)
     return counts.astype(np.float64)
+
+
+def reference_is_regular(b: BohrSet) -> bool:
+    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta <= 1/(80d).
+
+    Both sides only change at distances realized by group elements, so the
+    check evaluates the inequality exactly at every realized breakpoint.
+    The reference for bohr.is_regular: its earlier form, which takes the
+    distinct distances and sorts the table on every call.
+    """
+    d = b.codim
+    if d < 1:
+        raise DomainError("regularity needs codimension >= 1")
+    delta_max = 1 / (80 * d)
+    r = b.rho * b.n
+    if r <= _EL_EPS:
+        return True  # radius 0: both scaled sets coincide for all small delta
+    distinct = np.unique(b.dist)
+    cand = [delta_max]
+    up = distinct / r - 1
+    cand.extend(up[(up > 0) & (up <= delta_max)])
+    down = 1 - distinct / r
+    down = down[(down > 0) & (down < delta_max)]
+    cand.extend(down + 1e-12)  # just past the exit breakpoint
+    cand = np.asarray(cand)
+    sorted_dist = np.sort(b.dist)
+    hi = np.searchsorted(sorted_dist, (1 + cand) * r + _EL_EPS, side="right")
+    lo = np.searchsorted(sorted_dist, (1 - cand) * r + _EL_EPS, side="right")
+    lhs = hi - lo
+    rhs = 160 * cand * d * b.size
+    return bool(np.all(lhs <= rhs + 1e-9))
+
+
+def reference_find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
+    """Largest nu in [1/2, 1] with (B)_nu regular.
+
+    Candidates are the element-induced radii in the window plus the window
+    ends and gap midpoints; each candidate is checked exactly.  Radius 0, or
+    no frequency (B(emptyset, rho) = Z_n), is regular at every scale: nu = 1.
+    The reference for bohr.find_regular_scale: its earlier form, which
+    materializes every candidate Bohr set and checks it with
+    reference_is_regular.
+    """
+    r = b.rho
+    if r == 0 or not b.freqs:
+        return 1.0, dilate(b, 1.0)
+    breaks = np.unique(b.dist) / b.n
+    breaks = breaks[(breaks >= 0.5 * r - 1e-15) & (breaks <= r + 1e-15)]
+    cand = set([0.5 * r, r])
+    cand.update(breaks.tolist())
+    ordered = sorted(cand)
+    for a, bb in zip(ordered, ordered[1:]):
+        cand.add((a + bb) / 2)
+    for radius in sorted(cand, reverse=True):
+        scaled = _from_dist(b.n, b.freqs, radius, b.dist)
+        if reference_is_regular(scaled):
+            return radius / r, scaled
+    raise RegularityError(
+        f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
+    )

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lambda_weighted_spectral
+from oracles import (
+    lambda_weighted_spectral,
+    reference_find_regular_scale,
+    reference_is_regular,
+)
 from popdiff.aps import per_diff_density, total_3ap_density
 from popdiff.bohr import (
     BohrSet,
@@ -114,6 +118,41 @@ def test_regularity_golden_and_scale():
         assert is_regular(scaled)
 
 
+def _assert_scale_matches_reference(b):
+    nu, scaled = find_regular_scale(b)
+    ref_nu, ref = reference_find_regular_scale(b)
+    assert nu == ref_nu and scaled.rho == ref.rho and scaled.freqs == ref.freqs
+    assert np.array_equal(scaled.elements, ref.elements)
+    assert np.array_equal(scaled.dist, ref.dist)
+    assert is_regular(b) == reference_is_regular(b)
+    assert is_regular(scaled) == reference_is_regular(scaled)
+    return nu
+
+
+@given(n=st.integers(0, 2046).map(lambda k: 2 * k + 1), freqs=frequencies,
+       rho=st.floats(0.0, 0.5, exclude_min=True))
+def test_regular_scale_matches_reference(n, freqs, rho):
+    # one sorted distance table per search gives the reference's nu, radius
+    # and elements bit for bit
+    _assert_scale_matches_reference(bohr_set(n, freqs, rho))
+
+
+@pytest.mark.parametrize("n, freqs, rho, below_one", [
+    # the full radius is not regular, so the candidate loop runs past it
+    (511, (976905, 134041), 0.20155649322356461, True),
+    (265, (476700, 242394, 983273), 0.15087272304830607, True),
+    (2197, (807869, 832180), 0.03230162618093252, True),
+    (2941, (432154,), 0.41165955155269873, True),
+    (3021, (42903, 461691, 511739), 0.04865627131994499, True),
+    # the chosen radius changes without the delta just past an exit breakpoint
+    (2555, (56021, 993605, 88073), 0.40704976038712765, True),
+    # the verdict changes with |B| one short
+    (87, (783311, 191252, 406557), 0.22948817747379702, False),
+])
+def test_regular_scale_edge_cases_match_reference(n, freqs, rho, below_one):
+    assert (_assert_scale_matches_reference(bohr_set(n, freqs, rho)) < 1) == below_one
+
+
 def test_measures():
     b = bohr_set(101, {1}, 0.1)
     beta, phi = beta_measure(b), phi_measure(b)
@@ -195,6 +234,9 @@ def test_pick_increment_index():
     # past the horizon (1 at eps = 1.9) a miss is an error
     with pytest.raises(RegularityError):
         pick_increment_index([a3, 0.99], alpha, 1.9)
+    # at eps >= 2, 2 log2(2/eps) <= 0, but an index needs a second term
+    assert pick_increment_index([a3], alpha, 2.0) is None
+    assert pick_increment_index([a3], alpha, 3.0) is None
 
 
 def test_suite_trivial_constant():

@@ -294,6 +294,7 @@ LOADER_FUZZ = {
     "set-elements-nested": {"elements": [[1], [2]], "N": 10},
     "set-elements-floats": {"elements": [1.0, 2.0], "N": 10},
     "set-elements-null": {"elements": None, "n": 11},
+    "set-elements-repeated": {"elements": [1, 1, 2], "N": 3},
     "set-N-unallocatable": {"elements": [1], "N": 10**18},
     "set-N-beyond-numpy-dimension": {"elements": [1], "N": 10**30},
     # each is rejected before the factor's primality is tested
@@ -379,6 +380,18 @@ def test_upper_command(tmp_path):
     trace = json.loads((tmp_path / "t.trace.json").read_text())
     assert trace["d"] != 0
     assert trace["density"] >= 0.3**3 - 0.05
+
+
+@pytest.mark.parametrize("epsilon", ["2", "3"])
+def test_upper_large_epsilon(tmp_path, epsilon):
+    # 2 log2(2/eps) <= 0 here, but alpha^3 - eps/2 < 0 makes index 1 qualify
+    # at the second level, so the search ends and the verdict holds
+    v = np.random.default_rng(0).random(1009)
+    save_fn(DensityFn(cyclic(1009), v * (0.3 / v.mean())), tmp_path / "f.json")
+    assert main(["upper", "--in", str(tmp_path / "f.json"), "--epsilon", epsilon,
+                 "--out", str(tmp_path / "t")]) == 0
+    trace = json.loads((tmp_path / "t.trace.json").read_text())
+    assert trace["chosen_i"] == 1 and len(trace["levels"]) == 2
 
 
 def test_upper_without_large_coefficient(tmp_path):

@@ -1,5 +1,7 @@
 """Product-group construction: levels, verification, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -292,6 +294,20 @@ def test_construct_two_level_reports_failure():
     assert log["level"] == 2
     assert log["best_verdict"].max_offdiag > ALPHA**3
     assert log["retries"][-1]["attempts"] == 4
+
+
+def test_construct_collects_mu_effective_per_level(monkeypatch):
+    # no desk chain passes level 2, so every verdict is made to pass: the
+    # certificate lists 0 for level 1, then each accepted level's coset share
+    # (level 2 takes all four alpha'-points of Z_5, which leaves none for 3)
+    from popdiff import product
+
+    real = product.verify_level
+    monkeypatch.setattr(product, "verify_level",
+                        lambda st, eps: dataclasses.replace(real(st, eps), passed=True))
+    _, cert = construct_product(ProductParams(alpha=ALPHA, epsilon=8e-3, factors=(5, 7, 11)),
+                                seed=42)
+    assert cert.mu_effective == (0.0, 0.8, 0.0)
 
 
 def test_construct_infeasible_factors():
