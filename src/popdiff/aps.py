@@ -156,31 +156,40 @@ def total_3ap_density(f: DensityFn, method: str = "spectral") -> float:
 # full profiles
 
 
-def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
-    """Group per-difference densities from a sparse spectrum.
+def triple_amplitudes(v0, r0, v1, r1, third, rows, m: int) -> np.ndarray:
+    """Frequency bins of the 3-AP terms of three coefficient sources on Z_m.
 
-    With support S, density(d) = Re sum over (r1,r2,r3) in S^3, r1+r2+r3=0, of
-    c(r1)c(r2)c(r3) e(-(r2+2r3) d/n): the amplitudes are gathered per
-    frequency k = r2+2r3 over support pairs (r1, r2), and one FFT evaluates
-    the sum at every d.  Cost O(|S|^2 + n log n).
+    Term i closes (v0[i] at frequency r0[i], v1[i] at r1[i]) with
+    third[rows[i], r2], r2 = -(r0 + r1) mod m, from a dense table with one row
+    per source (a fiber, or the one row of a spectrum).  If F_j(x) = sum_r
+    c_j(r) e(-x r / m), then E_x F0(x) F1(x+e) F2(x+2e) is the sum over
+    r0 + r1 + r2 = 0 of c0(r0) c1(r1) c2(r2) e(-(r1 + 2 r2) e / m), so each
+    product goes to bin k = (r1 + 2 r2) mod m and ``idft`` of the bins
+    evaluates the sum at every e.  Vanishing products are dropped; the rest
+    add into each bin in the C order of the inputs, fixing the bits.
+    """
+    r2 = (-(r0 + r1)) % m
+    terms = v0 * v1 * third[rows, r2]
+    keep = terms != 0
+    k, t = ((r1 + 2 * r2) % m)[keep], terms[keep]
+    return np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
+
+
+def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
+    """Group per-difference densities from a sparse spectrum S: the
+    ``triple_amplitudes`` of support pairs (r0, r1), closed by the spectrum
+    truncated to S, and one FFT.  Cost O(|S|^2 + n log n).
     """
     n = spectrum.n
     c = spectrum.coeffs
     supp = spectrum.support
-    member = np.zeros(n, dtype=bool)
-    member[supp] = True
+    third = np.where(np.isin(np.arange(n), supp), c, 0)[None]  # one row, c on S
     amp = np.zeros(n, dtype=np.complex128)
     step = max(1, _PAIR_BLOCK // max(supp.size, 1))
     for lo in range(0, supp.size, step):
         block = supp[lo : lo + step]
-        r1 = np.repeat(block, supp.size)
-        r2 = np.tile(supp, block.size)
-        r3 = (-(r1 + r2)) % n
-        hit = member[r3]
-        r1, r2, r3 = r1[hit], r2[hit], r3[hit]
-        w = c[r1] * c[r2] * c[r3]
-        k = (r2 + 2 * r3) % n
-        amp += np.bincount(k, w.real, n) + 1j * np.bincount(k, w.imag, n)
+        r0, r1 = np.repeat(block, supp.size), np.tile(supp, block.size)
+        amp += triple_amplitudes(c[r0], r0, c[r1], r1, third, 0, n)
     return idft(amp).real
 
 

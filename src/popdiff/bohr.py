@@ -109,6 +109,7 @@ def _regular(sorted_dist: np.ndarray, r: float, d: int) -> bool:
     up = up[(up > 0) & (up <= delta_max)]
     down = 1 - sorted_dist / r
     down = down[(down > 0) & (down < delta_max)] + 1e-12  # just past the exit breakpoint
+    # keep delta_max: an up breakpoint on its sphere can round above it
     cand = np.concatenate(([delta_max], up, down))
     hi = np.searchsorted(sorted_dist, (1 + cand) * r + _EL_EPS, side="right")
     lo = np.searchsorted(sorted_dist, (1 - cand) * r + _EL_EPS, side="right")
@@ -253,10 +254,6 @@ class SuiteReport:
 
     def failures(self, tol: float = 1e-7) -> list:
         return [c for c in self.checks if c.applicable and c.margin is not None and c.margin < -tol]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures()
 
 
 def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> SuiteReport:

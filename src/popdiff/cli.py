@@ -192,11 +192,13 @@ def cmd_upper(args) -> int:
 
 def _set_indicator(obj: dict):
     """Indicator of a set artifact: distinct residues 0..n-1 of Z_n under
-    ``n``, or distinct members 1..N of the interval [N] under ``N``."""
+    ``n``, or distinct members 1..N of the interval [N] under ``N``; never both."""
     import numpy as np
 
     from .domains import DensityFn, _is_int, cyclic, interval
 
+    if "n" in obj and "N" in obj:
+        raise FileFormatError("set artifact names both 'n' (Z_n) and 'N' ([N]); give one")
     key = "n" if "n" in obj else "N"
     size = obj.get(key)
     if not _is_int(size) or size < 1:

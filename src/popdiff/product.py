@@ -12,13 +12,12 @@ computes the density of 3-APs for EVERY difference d of Q_i exactly, using
 the product structure.  Write d = (d', e) with d' = d mod n_{i-1} and
 e = d mod m_i.  The density at d is the level-(i-1) density at d' plus the
 nonconstant Fourier terms of the fibers over the coset triples
-(w, w+d', w+2d'): one term for each nonzero triple of frequencies, one per
-fiber and summing to zero, oscillating in e.  Each fiber has at most five
-frequencies (the model support, dilated by a_w), and a triple whose
-dilations are smooth for the model support has no such term, so every lift
-of a base difference whose triples are all smooth carries exactly the
-level-(i-1) density.  The terms of each d' are binned by frequency and one
-FFT evaluates them at every lift e; d' = 0 is no special case.
+(w, w+d', w+2d'), which ``aps.triple_amplitudes`` bins for one FFT over
+every lift e; each fiber has at most five frequencies (the model support,
+dilated by a_w), and d' = 0 is no special case.  A triple whose dilations
+are smooth for the model support has no such term, so every lift of a base
+difference whose triples are all smooth carries exactly the level-(i-1)
+density.
 
 The assembled table is exact to roundoff and is cross-checked against brute
 force in the test suite.
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aps import ap_sums, within, worst_difference
+from .aps import ap_sums, triple_amplitudes, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .fourier import idft
@@ -175,10 +174,6 @@ class LevelState:
     def n(self) -> int:
         return math.prod(self.factors)
 
-    @property
-    def m_set_size(self) -> int:
-        return 0 if self.modified is None else int(self.modified.sum())
-
 
 def build_level1(alpha: float, m1: int) -> LevelState:
     """The deterministic base profile on Z_{m_1}."""
@@ -268,11 +263,9 @@ def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -
     d' = d mod n_{i-1} and e = d mod m_i.  ``prev`` is level i-1 and
     ``model_coeffs`` the spectrum of the model profile on Z_{m_i}.
 
-    Expand each fiber as F_w(y) = sum_r c[w, r] e(-r y / m_i).  Then
-    table[d] = base[d'] + (1/n_{i-1}) Re sum_w sum c[w, r0] c[w+d', r1]
-    c[w+2d', r2] e(-(r1 + 2 r2) e / m_i) over r0 + r1 + r2 = 0, (r0, r1) != 0,
-    with base the level-(i-1) table.  The amplitudes of each d' are binned
-    by k = r1 + 2 r2, and one FFT of the bins evaluates every lift e.
+    Row d' is the level-(i-1) density plus the mean over w of the
+    ``triple_amplitudes`` of the fibers (w, w+d', w+2d'), over every pair of
+    frequencies but (0, 0), evaluated at every lift e by one FFT.
     """
     n_prev = prev.n
     m = state.factors[-1]
@@ -291,18 +284,16 @@ def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -
     coef[:, 0] = prev.values
     coef[mod[:, None], freq[mod]] = val[mod]
 
-    # a base difference with no nonzero term keeps the level-(i-1) density exactly
+    # the pair (j0, j1) = (0, 0) is frequency 0 in every fiber (a_w is a unit
+    # mod m), and its triples sum to the base density
+    j0, j1 = np.divmod(np.arange(1, supp.size**2), supp.size)
+    v0, r0 = val[:, j0], freq[:, j0]
     rows = np.repeat(prev.density_table[:, None], m, axis=1)
-    w = np.arange(n_prev)
+    w = np.arange(n_prev)[:, None]
     for dprime in range(n_prev):
         w1, w2 = (w + dprime) % n_prev, (w + 2 * dprime) % n_prev
-        r0, r1 = freq[:, :, None], freq[w1, None, :]
-        r2 = (-(r0 + r1)) % m
-        terms = val[:, :, None] * val[w1, None, :] * coef[w2[:, None, None], r2]
-        keep = ((r0 != 0) | (r1 != 0)) & (terms != 0)
-        if keep.any():
-            k, t = ((r1 + 2 * r2) % m)[keep], terms[keep]
-            amp = np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
+        amp = triple_amplitudes(v0, r0, val[w1, j1], freq[w1, j1], coef, w2, m)
+        if amp.any():  # a base difference with no term keeps its density exactly
             rows[dprime] += idft(amp).real / n_prev
     return rows
 

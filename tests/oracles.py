@@ -6,9 +6,12 @@ import itertools
 
 import numpy as np
 
+from popdiff import aps
 from popdiff.bohr import _EL_EPS, BohrSet, _from_dist, dilate
+from popdiff.domains import Spectrum
 from popdiff.errors import DomainError, RegularityError
-from popdiff.fourier import dft_values
+from popdiff.fourier import dft_values, idft
+from popdiff.modelfn import model_support
 
 
 def smooth_tuple_ok(supp, a, n: int) -> tuple:
@@ -200,3 +203,80 @@ def reference_find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
     raise RegularityError(
         f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
     )
+
+
+def reference_perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
+    """Group per-difference densities from a sparse spectrum.
+
+    With support S, density(d) = Re sum over (r1,r2,r3) in S^3, r1+r2+r3=0, of
+    c(r1)c(r2)c(r3) e(-(r2+2r3) d/n): the amplitudes are gathered per
+    frequency k = r2+2r3 over support pairs (r1, r2), and one FFT evaluates
+    the sum at every d.  Cost O(|S|^2 + n log n).
+    The reference for aps.perdiff_table_sparse: its earlier form, which
+    gathers and bins its own triples; the pair block is read from aps.
+    """
+    n = spectrum.n
+    c = spectrum.coeffs
+    supp = spectrum.support
+    member = np.zeros(n, dtype=bool)
+    member[supp] = True
+    amp = np.zeros(n, dtype=np.complex128)
+    step = max(1, aps._PAIR_BLOCK // max(supp.size, 1))
+    for lo in range(0, supp.size, step):
+        block = supp[lo : lo + step]
+        r1 = np.repeat(block, supp.size)
+        r2 = np.tile(supp, block.size)
+        r3 = (-(r1 + r2)) % n
+        hit = member[r3]
+        r1, r2, r3 = r1[hit], r2[hit], r3[hit]
+        w = c[r1] * c[r2] * c[r3]
+        k = (r2 + 2 * r3) % n
+        amp += np.bincount(k, w.real, n) + 1j * np.bincount(k, w.imag, n)
+    return idft(amp).real
+
+
+def reference_assemble_density_table(prev, state, model_coeffs) -> np.ndarray:
+    """Exact per-difference densities of Q_i (see module docstring), as an
+    (n_{i-1}, m_i) array whose entry (d', e) is the density at the d with
+    d' = d mod n_{i-1} and e = d mod m_i.  ``prev`` is level i-1 and
+    ``model_coeffs`` the spectrum of the model profile on Z_{m_i}.
+
+    Expand each fiber as F_w(y) = sum_r c[w, r] e(-r y / m_i).  Then
+    table[d] = base[d'] + (1/n_{i-1}) Re sum_w sum c[w, r0] c[w+d', r1]
+    c[w+2d', r2] e(-(r1 + 2 r2) e / m_i) over r0 + r1 + r2 = 0, (r0, r1) != 0,
+    with base the level-(i-1) table.  The amplitudes of each d' are binned
+    by k = r1 + 2 r2, and one FFT of the bins evaluates every lift e.
+    The reference for product._assemble_density_table: its earlier form,
+    which gathers and bins its own triples over all (j0, j1).
+    """
+    n_prev = prev.n
+    m = state.factors[-1]
+    supp = np.array(model_support(m), dtype=np.int64)
+    ghat = model_coeffs[supp]
+
+    # fiber w has coefficient val[w, j] at frequency freq[w, j]: an unmodified
+    # fiber is the constant prev.values[w], a modified one g(a_w y + b_w)
+    mod = np.flatnonzero(state.modified)
+    freq = np.zeros((n_prev, supp.size), dtype=np.int64)
+    val = np.zeros((n_prev, supp.size), dtype=np.complex128)
+    val[:, 0] = prev.values
+    freq[mod] = (state.coset_a[mod, None] * supp) % m
+    val[mod] = ghat * np.exp((-2j * np.pi / m) * ((state.coset_b[mod, None] * supp) % m))
+    coef = np.zeros((n_prev, m), dtype=np.complex128)
+    coef[:, 0] = prev.values
+    coef[mod[:, None], freq[mod]] = val[mod]
+
+    # a base difference with no nonzero term keeps the level-(i-1) density exactly
+    rows = np.repeat(prev.density_table[:, None], m, axis=1)
+    w = np.arange(n_prev)
+    for dprime in range(n_prev):
+        w1, w2 = (w + dprime) % n_prev, (w + 2 * dprime) % n_prev
+        r0, r1 = freq[:, :, None], freq[w1, None, :]
+        r2 = (-(r0 + r1)) % m
+        terms = val[:, :, None] * val[w1, None, :] * coef[w2[:, None, None], r2]
+        keep = ((r0 != 0) | (r1 != 0)) & (terms != 0)
+        if keep.any():
+            k, t = ((r1 + 2 * r2) % m)[keep], terms[keep]
+            amp = np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
+            rows[dprime] += idft(amp).real / n_prev
+    return rows

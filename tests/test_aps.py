@@ -17,16 +17,26 @@ from popdiff.aps import (
     perdiff_table_sparse,
     sparse_error_bound,
     total_3ap_density,
+    triple_amplitudes,
     worst_difference,
 )
-from popdiff.domains import GROUP, OVER_N, OVER_WINDOW, APProfile, DensityFn, cyclic, interval
+from popdiff.domains import (
+    GROUP,
+    OVER_N,
+    OVER_WINDOW,
+    APProfile,
+    DensityFn,
+    Spectrum,
+    cyclic,
+    interval,
+)
 from popdiff.behrend import LowAPSubset
 from popdiff.errors import DomainError
 from popdiff.fourier import dft, idft
 from popdiff.interval import scan_interval_fn
 from popdiff.modelfn import build_model_fn
 from popdiff.product import ProductParams, construct_product
-from oracles import reference_pair_sums
+from oracles import reference_pair_sums, reference_perdiff_table_sparse
 
 
 def brute_total(values):
@@ -317,3 +327,48 @@ def test_spectral_backend_within_error_bound(n, freqs, seed):
         sparse = perdiff_table_sparse(spec)
     exact = np.asarray(brute_sums(f.values.tolist(), True)) / n
     assert np.abs(sparse - exact).max() <= bound + 1e-12
+
+
+@st.composite
+def sparse_spectra(draw, n_max=400):
+    # a few Gaussian coefficients, conjugate-symmetric (a real function) or not
+    n = draw(st.integers(1, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = rng.choice(n, draw(st.integers(1, min(n, 40))), replace=False)
+    c = np.zeros(n, dtype=np.complex128)
+    c[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    if draw(st.booleans()):
+        c[(-idx) % n] = np.conj(c[idx])
+    return Spectrum(n, c)
+
+
+@given(sparse_spectra())
+def test_sparse_profile_matches_reference_bitwise(spec):
+    assert perdiff_table_sparse(spec).tobytes() == reference_perdiff_table_sparse(spec).tobytes()
+
+
+@given(sparse_spectra(), st.integers(1, 40))
+def test_sparse_profile_matches_reference_across_pair_blocks(spec, block):
+    # a small pair block splits the support pairs into several bincount passes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popdiff.aps, "_PAIR_BLOCK", block)
+        got = perdiff_table_sparse(spec)
+        want = reference_perdiff_table_sparse(spec)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_triple_amplitudes_evaluate_the_progression_sum(m, seed):
+    # three fibers with a few frequencies each: idft of the bins is
+    # E_x F0(x) F1(x+e) F2(x+2e) at every e
+    rng = np.random.default_rng(seed)
+    coef = np.zeros((3, m), dtype=np.complex128)
+    for row in coef:
+        idx = rng.choice(m, min(m, 3), replace=False)
+        row[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    f0, f1, f2 = (idft(row) for row in coef)
+    x = np.arange(m)
+    want = [np.mean(f0 * f1[(x + e) % m] * f2[(x + 2 * e) % m]) for e in range(m)]
+    r0, r1 = np.divmod(np.arange(m * m), m)
+    amp = triple_amplitudes(coef[0, r0], r0, coef[1, r1], r1, coef, 2, m)
+    assert np.abs(idft(amp) - want).max() < 1e-12

@@ -295,6 +295,7 @@ LOADER_FUZZ = {
     "set-elements-floats": {"elements": [1.0, 2.0], "N": 10},
     "set-elements-null": {"elements": None, "n": 11},
     "set-elements-repeated": {"elements": [1, 1, 2], "N": 3},
+    "set-both-n-and-N": {"elements": [1, 2, 3], "N": 3, "n": 5},
     "set-N-unallocatable": {"elements": [1], "N": 10**18},
     "set-N-beyond-numpy-dimension": {"elements": [1], "N": 10**30},
     # each is rejected before the factor's primality is tested

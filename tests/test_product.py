@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from oracles import smooth_tuple_ok
+from oracles import reference_assemble_density_table, smooth_tuple_ok
 from popdiff.aps import ap_sums, perdiff_table_sparse
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.modelfn import CUBE_MOMENT_FACTOR, TRIPLE_DENSITY_FACTOR, build_model_fn
@@ -194,6 +194,36 @@ def test_structural_table_matches_bruteforce(chain, mus, alpha, seed):
     assert np.abs(brute - st.density_table).max() < 1e-12
 
 
+def _lift_matches_reference(prev, m, rng, mu):
+    # the level's table, in canonical order, against the earlier assembly
+    st = random_modify_level(prev, m, rng, mu_next=mu)
+    coeffs = build_model_fn(prev.alpha_prime, m).spectrum.coeffs
+    x = np.arange(st.n)
+    want = reference_assemble_density_table(prev, st, coeffs)[x % prev.n, x % m]
+    assert st.density_table.tobytes() == want.tobytes()
+    return st
+
+
+@given(
+    chain=st_.lists(st_.sampled_from((7, 11, 13, 31)), min_size=1, max_size=2, unique=True),
+    mus=st_.lists(st_.floats(0.0, 1.0), min_size=2, max_size=2),
+    alpha=st_.sampled_from((0.2, 0.25, 0.3)),
+    seed=st_.integers(0, 2**32 - 1),
+)
+def test_structural_table_matches_reference_bitwise(chain, mus, alpha, seed):
+    st = build_level1(alpha, 5)
+    rng = np.random.default_rng(seed)
+    for m, mu in zip(chain, mus):
+        st = _lift_matches_reference(st, m, rng, mu)
+
+
+def test_three_level_table_matches_reference_bitwise():
+    # the chain of the desk-size sampled check below
+    rng = np.random.default_rng(42)
+    st2 = _lift_matches_reference(build_level1(ALPHA, 5), 101, rng, 0.5)
+    _lift_matches_reference(st2, 1009, rng, 0.5)
+
+
 def test_three_level_table_sampled_check_at_desk_size():
     # (5, 101, 1009) is out of reach of the full brute table; 300 sampled
     # differences incl. the worst one and some d' = 0 rows against np.roll sums
@@ -203,7 +233,7 @@ def test_three_level_table_sampled_check_at_desk_size():
     st3 = random_modify_level(st2, 1009, rng, mu_next=0.5)
     v = st3.values
     n = st3.n
-    assert st3.m_set_size > 0
+    assert st3.modified.any()
     picks = set(int(x) for x in np.random.default_rng(1).integers(1, n, 300))
     picks.add(int(st3.density_table[1:].argmax()) + 1)
     picks.update(k * 505 for k in range(1, 6))  # d' = 0 rows
