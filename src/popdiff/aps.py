@@ -156,12 +156,13 @@ def total_3ap_density(f: DensityFn, method: str = "spectral") -> float:
 # full profiles
 
 
-def triple_amplitudes(v0, r0, v1, r1, third, rows, m: int) -> np.ndarray:
+def triple_amplitudes(v0, r0, v1, r1, third, m: int) -> np.ndarray:
     """Frequency bins of the 3-AP terms of three coefficient sources on Z_m.
 
-    Term i closes (v0[i] at frequency r0[i], v1[i] at r1[i]) with
-    third[rows[i], r2], r2 = -(r0 + r1) mod m, from a dense table with one row
-    per source (a fiber, or the one row of a spectrum).  If F_j(x) = sum_r
+    Term i closes (v0[i] at frequency r0[i], v1[i] at r1[i]) with third(r2)[i],
+    the third source's coefficient at r2 = -(r0 + r1) mod m; each caller
+    passes its own lookup (a truncated spectrum, or the fiber tables of a
+    product level).  If F_j(x) = sum_r
     c_j(r) e(-x r / m), then E_x F0(x) F1(x+e) F2(x+2e) is the sum over
     r0 + r1 + r2 = 0 of c0(r0) c1(r1) c2(r2) e(-(r1 + 2 r2) e / m), so each
     product goes to bin k = (r1 + 2 r2) mod m and ``idft`` of the bins
@@ -169,7 +170,7 @@ def triple_amplitudes(v0, r0, v1, r1, third, rows, m: int) -> np.ndarray:
     add into each bin in the C order of the inputs, fixing the bits.
     """
     r2 = (-(r0 + r1)) % m
-    terms = v0 * v1 * third[rows, r2]
+    terms = v0 * v1 * third(r2)
     keep = terms != 0
     k, t = ((r1 + 2 * r2) % m)[keep], terms[keep]
     return np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
@@ -183,13 +184,13 @@ def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
     n = spectrum.n
     c = spectrum.coeffs
     supp = spectrum.support
-    third = np.where(np.isin(np.arange(n), supp), c, 0)[None]  # one row, c on S
+    third = np.where(np.isin(np.arange(n), supp), c, 0)  # c on S
     amp = np.zeros(n, dtype=np.complex128)
     step = max(1, _PAIR_BLOCK // max(supp.size, 1))
     for lo in range(0, supp.size, step):
         block = supp[lo : lo + step]
         r0, r1 = np.repeat(block, supp.size), np.tile(supp, block.size)
-        amp += triple_amplitudes(c[r0], r0, c[r1], r1, third, 0, n)
+        amp += triple_amplitudes(c[r0], r0, c[r1], r1, third.take, n)
     return idft(amp).real
 
 

@@ -25,8 +25,9 @@ class InfeasibleError(PopdiffError, ValueError):
 class RetriesExhausted(PopdiffError, RuntimeError):
     """A randomized construction failed verification on every attempt.
 
-    Carries a ``log`` dict with the failing level/step and the best attempt
-    seen, so callers can report what was measured.
+    Carries a ``log`` dict with the failing level/step and the best verdict
+    seen, so callers can report what was measured; it holds no failed state,
+    which is dropped before the next attempt is built.
     """
 
     def __init__(self, message, log=None):

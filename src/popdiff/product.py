@@ -19,6 +19,13 @@ are smooth for the model support has no such term, so every lift of a base
 difference whose triples are all smooth carries exactly the level-(i-1)
 density.
 
+Both are written in canonical order, with no length-n index array.  By CRT
+the element x of Q_i has coset w = x mod n_{i-1} and fiber coordinate
+y = x mod m_i, so the points over coset w are the stride x = w + n_{i-1} k,
+k < m_i, with y = (w + n_{i-1} k) mod m_i.  A modified fiber is written to
+values[w::n_{i-1}] and the row of base difference d' to table[d'::n_{i-1}],
+each permuted by that y, one at a time with O(m_i) temporaries.
+
 The assembled table is exact to roundoff and is cross-checked against brute
 force in the test suite.
 """
@@ -34,7 +41,7 @@ from .aps import ap_sums, triple_amplitudes, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .fourier import idft
-from .modelfn import build_model_fn, model_support
+from .modelfn import MIN_MODEL_PRIME, build_model_fn, model_support
 
 STRICT_EPS_MAX = 20.0**-9
 
@@ -99,8 +106,8 @@ class FeasibilityReport:
 def feasibility(params: ProductParams) -> FeasibilityReport:
     """Check the construction hypotheses; desk mode waives all but fatal ones.
 
-    Fatal in both modes: non-prime, repeated, or even factors, and boost
-    values escaping [0,1].
+    Fatal in both modes: non-prime, repeated, or even factors, a later factor
+    too small to host the model profile, and boost values escaping [0,1].
     """
     rep = FeasibilityReport(params.mode)
     fac = params.factors
@@ -120,6 +127,13 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
             "model-mean-in-range",
             ap <= 0.5 + 1e-12,
             f"alpha'={ap:.6g} must be <= 1/2 to host the model profile",
+            waivable=False,
+        )
+        rep.add(
+            "model-prime",
+            min(fac[1:]) >= MIN_MODEL_PRIME,
+            f"factors after the first host the model profile, so each must be >= "
+            f"{MIN_MODEL_PRIME}: {fac[1:]}",
             waivable=False,
         )
 
@@ -226,12 +240,6 @@ def random_modify_level(
     chosen = avail[:want]
 
     g = build_model_fn(ap, m_next)
-    n_new = n_prev * m_next
-    x = np.arange(n_new, dtype=np.int64)
-    w_of = x % n_prev
-    y_of = x % m_next
-
-    values = state.values[w_of].copy()
     coset_a = np.zeros(n_prev, dtype=np.int64)
     coset_b = np.zeros(n_prev, dtype=np.int64)
     modified = np.zeros(n_prev, dtype=bool)
@@ -239,8 +247,10 @@ def random_modify_level(
         coset_a[chosen] = rng.integers(1, m_next, size=want)
         coset_b[chosen] = rng.integers(0, m_next, size=want)
         modified[chosen] = True
-        mask = modified[w_of]
-        values[mask] = g.values[(coset_a[w_of[mask]] * y_of[mask] + coset_b[w_of[mask]]) % m_next]
+    values = np.tile(state.values, m_next)  # the lift x -> f_{i-1}(x mod n_{i-1})
+    step = _stride_residues(n_prev, m_next)
+    for w in chosen.tolist():
+        values[w::n_prev] = g.values[(coset_a[w] * ((w + step) % m_next) + coset_b[w]) % m_next]
 
     new = LevelState(
         factors=state.factors + (m_next,),
@@ -253,19 +263,26 @@ def random_modify_level(
         coset_b=coset_b,
         mu_effective=want / n_prev,
     )
-    new.density_table = _assemble_density_table(state, new, g.spectrum.coeffs)[w_of, y_of]
+    new.density_table = _assemble_density_table(state, new, g.spectrum.coeffs)
     return new
 
 
-def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -> np.ndarray:
-    """Exact per-difference densities of Q_i (see module docstring), as an
-    (n_{i-1}, m_i) array whose entry (d', e) is the density at the d with
-    d' = d mod n_{i-1} and e = d mod m_i.  ``prev`` is level i-1 and
-    ``model_coeffs`` the spectrum of the model profile on Z_{m_i}.
+def _stride_residues(n_prev: int, m: int) -> np.ndarray:
+    """(n_prev k) mod m for k < m: the point w + n_prev k of a stride has
+    fiber coordinate (w + step[k]) mod m."""
+    return (n_prev * np.arange(m, dtype=np.int64)) % m
 
-    Row d' is the level-(i-1) density plus the mean over w of the
+
+def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -> np.ndarray:
+    """Exact per-difference densities of Q_i (see module docstring), in
+    canonical order.  ``prev`` is level i-1 and ``model_coeffs`` the spectrum
+    of the model profile on Z_{m_i}.
+
+    The row of base difference d' holds the lifts e = d mod m_i of the d with
+    d mod n_{i-1} = d': the level-(i-1) density plus the mean over w of the
     ``triple_amplitudes`` of the fibers (w, w+d', w+2d'), over every pair of
-    frequencies but (0, 0), evaluated at every lift e by one FFT.
+    frequencies but (0, 0), evaluated at every e by one FFT.  It is written
+    to the stride table[d'::n_{i-1}].
     """
     n_prev = prev.n
     m = state.factors[-1]
@@ -273,29 +290,40 @@ def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -
     ghat = model_coeffs[supp]
 
     # fiber w has coefficient val[w, j] at frequency freq[w, j]: an unmodified
-    # fiber is the constant prev.values[w], a modified one g(a_w y + b_w)
+    # fiber is the constant prev.values[w], a modified one g(a_w y + b_w).
+    # slot[w, r] is the column of val holding frequency r of fiber w; the last
+    # column, which is zero, stands for every other frequency
+    width = supp.size + 1
     mod = np.flatnonzero(state.modified)
     freq = np.zeros((n_prev, supp.size), dtype=np.int64)
-    val = np.zeros((n_prev, supp.size), dtype=np.complex128)
+    val = np.zeros((n_prev, width), dtype=np.complex128)
     val[:, 0] = prev.values
     freq[mod] = (state.coset_a[mod, None] * supp) % m
-    val[mod] = ghat * np.exp((-2j * np.pi / m) * ((state.coset_b[mod, None] * supp) % m))
-    coef = np.zeros((n_prev, m), dtype=np.complex128)
-    coef[:, 0] = prev.values
-    coef[mod[:, None], freq[mod]] = val[mod]
+    val[mod, : supp.size] = ghat * np.exp((-2j * np.pi / m) * ((state.coset_b[mod, None] * supp) % m))
+    slot = np.full((n_prev, m), supp.size, dtype=np.int8)
+    slot[:, 0] = 0
+    slot[mod[:, None], freq[mod]] = np.arange(supp.size, dtype=np.int8)
 
     # the pair (j0, j1) = (0, 0) is frequency 0 in every fiber (a_w is a unit
     # mod m), and its triples sum to the base density
     j0, j1 = np.divmod(np.arange(1, supp.size**2), supp.size)
     v0, r0 = val[:, j0], freq[:, j0]
-    rows = np.repeat(prev.density_table[:, None], m, axis=1)
-    w = np.arange(n_prev)[:, None]
+    v1, r1 = val[:, j1], freq[:, j1]
+    table = np.empty(n_prev * m)
+    step = _stride_residues(n_prev, m)
+    w = np.arange(n_prev)
     for dprime in range(n_prev):
-        w1, w2 = (w + dprime) % n_prev, (w + 2 * dprime) % n_prev
-        amp = triple_amplitudes(v0, r0, val[w1, j1], freq[w1, j1], coef, w2, m)
+        w1, w2 = (w + dprime) % n_prev, ((w + 2 * dprime) % n_prev)[:, None]
+        # flat takes: fiber w2's coefficient at r2 is val[w2, slot[w2, r2]]
+        amp = triple_amplitudes(
+            v0, r0, v1[w1], r1[w1], lambda r2: val.take(w2 * width + slot.take(w2 * m + r2)), m
+        )
+        base = prev.density_table[dprime]
         if amp.any():  # a base difference with no term keeps its density exactly
-            rows[dprime] += idft(amp).real / n_prev
-    return rows
+            table[dprime::n_prev] = (base + idft(amp).real / n_prev)[(dprime + step) % m]
+        else:
+            table[dprime::n_prev] = base
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +403,9 @@ def construct_product(
     """Run the construction level by level, verifying exhaustively and
     retrying each level with fresh randomness on failure.
 
-    Raises RetriesExhausted with a log carrying the failing level's best
-    attempt when no retry passes.
+    Only one candidate is alive at a time.  Raises RetriesExhausted when no
+    retry passes, with a log carrying the failing level's best verdict (not
+    its state).
     """
     rep = feasibility(params)
     if rep.fatal:
@@ -399,33 +428,27 @@ def construct_product(
 
     for i in range(2, len(fac) + 1):
         mu_i = mu[i - 1]
-        best = None
-        passed = False
+        best = None  # the lowest failing verdict; its candidate is not kept
         for attempt in range(max_retries_per_level):
             rng = _level_rng(seed, i, attempt)
             cand = random_modify_level(state, fac[i - 1], rng, mu_i, clamp=not strict)
             verdict = verify_level(cand, eps)
-            if best is None or verdict.max_offdiag < best[1].max_offdiag:
-                best = (cand, verdict, attempt)
             if verdict.passed:
-                state = cand
-                mu_effective.append(cand.mu_effective)
-                retries.append({"level": i, "attempts": attempt + 1, "passed": True})
-                passed = True
                 break
-        if not passed:
+            if best is None or verdict.max_offdiag < best.max_offdiag:
+                best = verdict
+            cand = None  # one candidate alive: drop this one before the next is built
+        else:
             retries.append({"level": i, "attempts": max_retries_per_level, "passed": False})
             raise RetriesExhausted(
                 f"level {i} failed verification on all {max_retries_per_level} attempts; "
-                f"best attempt: max density {best[1].max_offdiag:.6g} at d={best[1].argmax_d} "
-                f"> target {best[1].target:.6g}",
-                log={
-                    "level": i,
-                    "retries": retries,
-                    "best_verdict": best[1],
-                    "best_state": best[0],
-                },
+                f"best attempt: max density {best.max_offdiag:.6g} at d={best.argmax_d} "
+                f"> target {best.target:.6g}",
+                log={"level": i, "retries": retries, "best_verdict": best},
             )
+        state = cand
+        mu_effective.append(cand.mu_effective)
+        retries.append({"level": i, "attempts": attempt + 1, "passed": True})
 
     # verdict is the last level's passing verdict
     mean_cube = float((state.values**3).mean())

@@ -8,10 +8,11 @@ import numpy as np
 
 from popdiff import aps
 from popdiff.bohr import _EL_EPS, BohrSet, _from_dist, dilate
-from popdiff.domains import Spectrum
-from popdiff.errors import DomainError, RegularityError
+from popdiff.domains import Spectrum, is_prime
+from popdiff.errors import DomainError, InfeasibleError, RegularityError
 from popdiff.fourier import dft_values, idft
-from popdiff.modelfn import model_support
+from popdiff.modelfn import build_model_fn, model_support
+from popdiff.product import _ALPHA_PRIME_TOL, LevelState
 
 
 def smooth_tuple_ok(supp, a, n: int) -> tuple:
@@ -246,8 +247,9 @@ def reference_assemble_density_table(prev, state, model_coeffs) -> np.ndarray:
     c[w+2d', r2] e(-(r1 + 2 r2) e / m_i) over r0 + r1 + r2 = 0, (r0, r1) != 0,
     with base the level-(i-1) table.  The amplitudes of each d' are binned
     by k = r1 + 2 r2, and one FFT of the bins evaluates every lift e.
-    The reference for product._assemble_density_table: its earlier form,
-    which gathers and bins its own triples over all (j0, j1).
+    The table step of reference_random_modify_level: the earlier form of
+    product._assemble_density_table, which gathers and bins its own triples
+    over all (j0, j1).
     """
     n_prev = prev.n
     m = state.factors[-1]
@@ -280,3 +282,69 @@ def reference_assemble_density_table(prev, state, model_coeffs) -> np.ndarray:
             amp = np.bincount(k, t.real, m) + 1j * np.bincount(k, t.imag, m)
             rows[dprime] += idft(amp).real / n_prev
     return rows
+
+
+def reference_random_modify_level(
+    state: LevelState,
+    m_next: int,
+    rng: np.random.Generator,
+    mu_next: float,
+    clamp: bool = True,
+) -> LevelState:
+    """Extend f_{i-1} to Q_i, overwriting fibers over floor(mu*n_{i-1})
+    alpha'-points with randomly reparametrized model profiles.
+
+    The coset set is the lexicographically first block of alpha'-points (in
+    the canonical element order), so only (a_w, b_w) carry randomness.  With
+    ``clamp`` (desk behaviour) the coset count is capped by the number of
+    available alpha'-points; strict callers pass clamp=False and get an error
+    instead.
+    The reference for product.random_modify_level: its earlier form, which
+    builds length-n index arrays and a dense (n_{i-1}, m_i) table.
+    """
+    if not is_prime(m_next) or m_next % 2 == 0:
+        raise DomainError(f"m={m_next} must be an odd prime")
+    if m_next in state.factors:
+        raise DomainError(f"factor {m_next} repeats")
+    n_prev = state.n
+    ap = state.alpha_prime
+    avail = np.flatnonzero(np.abs(state.values - ap) <= _ALPHA_PRIME_TOL)
+    want = int(mu_next * n_prev)
+    if want > len(avail):
+        if not clamp:
+            raise InfeasibleError(
+                f"need {want} alpha'-points for mu={mu_next:.4g}, only {len(avail)} exist"
+            )
+        want = len(avail)
+    chosen = avail[:want]
+
+    g = build_model_fn(ap, m_next)
+    n_new = n_prev * m_next
+    x = np.arange(n_new, dtype=np.int64)
+    w_of = x % n_prev
+    y_of = x % m_next
+
+    values = state.values[w_of].copy()
+    coset_a = np.zeros(n_prev, dtype=np.int64)
+    coset_b = np.zeros(n_prev, dtype=np.int64)
+    modified = np.zeros(n_prev, dtype=bool)
+    if want:
+        coset_a[chosen] = rng.integers(1, m_next, size=want)
+        coset_b[chosen] = rng.integers(0, m_next, size=want)
+        modified[chosen] = True
+        mask = modified[w_of]
+        values[mask] = g.values[(coset_a[w_of[mask]] * y_of[mask] + coset_b[w_of[mask]]) % m_next]
+
+    new = LevelState(
+        factors=state.factors + (m_next,),
+        values=values,
+        alpha=state.alpha,
+        alpha_prime=ap,
+        density_table=np.empty(0),  # filled below
+        modified=modified,
+        coset_a=coset_a,
+        coset_b=coset_b,
+        mu_effective=want / n_prev,
+    )
+    new.density_table = reference_assemble_density_table(state, new, g.spectrum.coeffs)[w_of, y_of]
+    return new

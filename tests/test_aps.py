@@ -370,5 +370,5 @@ def test_triple_amplitudes_evaluate_the_progression_sum(m, seed):
     x = np.arange(m)
     want = [np.mean(f0 * f1[(x + e) % m] * f2[(x + 2 * e) % m]) for e in range(m)]
     r0, r1 = np.divmod(np.arange(m * m), m)
-    amp = triple_amplitudes(coef[0, r0], r0, coef[1, r1], r1, coef, 2, m)
+    amp = triple_amplitudes(coef[0, r0], r0, coef[1, r1], r1, coef[2].take, m)
     assert np.abs(idft(amp) - want).max() < 1e-12

@@ -197,6 +197,17 @@ def test_construct_product_exit_codes(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("factors", ["7,5", "5,3", "5,15629,3"])
+def test_construct_product_small_later_factor_exits_4(tmp_path, capsys, factors):
+    # a factor after the first hosts the model profile, so one below 7 is
+    # infeasible before any level is built, wherever it stands
+    argv = ["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "1e-3",
+            "--factors", factors, "--out", str(tmp_path / "p")]
+    assert main(argv) == 4
+    assert "model-prime" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_replay(tmp_path):
     main(["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "8e-3",
           "--factors", "5", "--out", str(tmp_path / "p"), "--seed", "42"])

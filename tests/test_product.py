@@ -1,13 +1,16 @@
 """Product-group construction: levels, verification, certificates."""
 
+import copy
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from oracles import reference_assemble_density_table, smooth_tuple_ok
+from oracles import reference_random_modify_level, smooth_tuple_ok
 from popdiff.aps import ap_sums, perdiff_table_sparse
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.modelfn import CUBE_MOMENT_FACTOR, TRIPLE_DENSITY_FACTOR, build_model_fn
@@ -90,18 +93,26 @@ def test_modify_structure_and_mean():
     assert abs(st2.values.mean() - ALPHA) < 1e-12
 
 
+class _LowestDraws:
+    """A stand-in generator whose every draw is the low end of its range, so
+    each modified coset gets (a_w, b_w) = (1, 0)."""
+
+    def integers(self, low, high, size):
+        return np.full(size, low, dtype=np.int64)
+
+
 def test_modify_identity_reparametrization():
-    # (a,b)=(1,0) lays the profile down verbatim
+    # (a, b) = (1, 0) lays the profile down verbatim: the fiber over coset w
+    # is the stride values[w::5], whose point w + 5k has coordinate (w + 5k) mod 31
     st = build_level1(ALPHA, 5)
-    rng = np.random.default_rng(3)
-    st2 = random_modify_level(st, 31, rng, mu_next=0.3)
-    w = int(np.flatnonzero(st2.modified)[0])
-    st2.coset_a[w], st2.coset_b[w] = 1, 0
+    st2 = random_modify_level(st, 31, _LowestDraws(), mu_next=0.3)
     g = build_model_fn(st.alpha_prime, 31)
-    xs = np.flatnonzero(np.arange(st2.n) % 5 == w)
-    vals = st2.values.copy()
-    vals[xs] = g.values[xs % 31]
-    assert abs(vals[xs].mean() - st.alpha_prime) < 1e-12
+    k = np.arange(31)
+    assert st2.modified.any()
+    for w in np.flatnonzero(st2.modified):
+        assert (st2.coset_a[w], st2.coset_b[w]) == (1, 0)
+        assert np.array_equal(st2.values[w::5], g.values[(w + 5 * k) % 31])
+        assert abs(st2.values[w::5].mean() - st.alpha_prime) < 1e-12
 
 
 def test_fiber_mean_invariant_under_all_maps():
@@ -195,12 +206,15 @@ def test_structural_table_matches_bruteforce(chain, mus, alpha, seed):
 
 
 def _lift_matches_reference(prev, m, rng, mu):
-    # the level's table, in canonical order, against the earlier assembly
+    # the level against the earlier builder, bit for bit, on the same draws
+    ref_rng = copy.deepcopy(rng)
     st = random_modify_level(prev, m, rng, mu_next=mu)
-    coeffs = build_model_fn(prev.alpha_prime, m).spectrum.coeffs
-    x = np.arange(st.n)
-    want = reference_assemble_density_table(prev, st, coeffs)[x % prev.n, x % m]
-    assert st.density_table.tobytes() == want.tobytes()
+    ref = reference_random_modify_level(prev, m, ref_rng, mu_next=mu)
+    for name in ("values", "density_table", "modified", "coset_a", "coset_b"):
+        got, want = getattr(st, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert st.mu_effective == ref.mu_effective
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     return st
 
 
@@ -222,6 +236,36 @@ def test_three_level_table_matches_reference_bitwise():
     rng = np.random.default_rng(42)
     st2 = _lift_matches_reference(build_level1(ALPHA, 5), 101, rng, 0.5)
     _lift_matches_reference(st2, 1009, rng, 0.5)
+
+
+def test_acceptance_size_level_matches_reference_bitwise():
+    # the level of the acceptance-size sampled check
+    _lift_matches_reference(build_level1(ALPHA, 5), 15629, np.random.default_rng(42), 0.8)
+
+
+@pytest.mark.parametrize(
+    "chain, m, mu, ceiling",
+    [((), 15629, 0.8, 6), ((101,), 1009, 0.5, 3)],
+    ids=["5x15629", "5x101x1009"],
+)
+def test_level_working_set(chain, m, mu, ceiling):
+    # the traced peak of one level, in float vectors of the new level's size
+    # n: values and table are two of them, and the rest is O(m) per coset or
+    # base difference plus the int8 slot table (n bytes).  numpy reports its
+    # buffers to tracemalloc; a first call warms numpy's FFT plan cache.
+    rng = np.random.default_rng(42)
+    st = build_level1(ALPHA, 5)
+    for m_prev in chain:
+        st = random_modify_level(st, m_prev, rng, mu_next=0.5)
+    random_modify_level(st, m, np.random.default_rng(0), mu_next=mu)
+    tracemalloc.start()
+    try:
+        new = random_modify_level(st, m, rng, mu_next=mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert new.modified.any()
+    assert peak <= ceiling * 8 * new.n
 
 
 def test_three_level_table_sampled_check_at_desk_size():
@@ -321,9 +365,30 @@ def test_construct_two_level_reports_failure():
     with pytest.raises(RetriesExhausted) as info:
         construct_product(params, seed=1, max_retries_per_level=4)
     log = info.value.log
+    assert set(log) == {"level", "retries", "best_verdict"}  # no failed state is kept
     assert log["level"] == 2
     assert log["best_verdict"].max_offdiag > ALPHA**3
     assert log["retries"][-1]["attempts"] == 4
+
+
+def test_construct_keeps_one_candidate(monkeypatch):
+    # each failed candidate is dropped before the next attempt is built
+    from popdiff import product
+
+    real = product.random_modify_level
+    built = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in built)
+        cand = real(*args, **kwargs)
+        built.append(weakref.ref(cand))
+        return cand
+
+    monkeypatch.setattr(product, "random_modify_level", tracked)
+    with pytest.raises(RetriesExhausted):
+        construct_product(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=(5, 101)), seed=1,
+                          max_retries_per_level=3)
+    assert len(built) == 3
 
 
 def test_construct_collects_mu_effective_per_level(monkeypatch):
@@ -345,6 +410,23 @@ def test_construct_infeasible_factors():
         construct_product(
             ProductParams(alpha=ALPHA, epsilon=1e-3, factors=(5, 15)), seed=0
         )
+
+
+@pytest.mark.parametrize("factors", [(7, 5), (5, 3), (5, 15629, 3)])
+def test_small_later_factor_is_fatal(factors, monkeypatch):
+    # a later factor hosts the model profile, which needs m >= 7; the
+    # feasibility check rejects it before any level is built
+    from popdiff import product
+
+    rep = feasibility(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=factors))
+    assert [c.name for c in rep.checks if c.status == "fail"] == ["model-prime"]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(product, "build_level1", no_build)
+    with pytest.raises(InfeasibleError, match="model-prime"):
+        construct_product(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=factors), seed=0)
 
 
 def test_strict_mode_insufficient_points():
