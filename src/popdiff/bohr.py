@@ -412,13 +412,14 @@ class IncrementTrace:
 def upper_search(
     f: DensityFn,
     epsilon: float,
-    schedule=None,
+    schedule,
     interval_mode: bool = False,
     nu: float | None = None,
 ) -> IncrementTrace:
     """Find a popular difference by the mean-cube increment iteration.
 
-    ``schedule`` maps a 1-based level to rho_i (default: the strict recipe).
+    ``schedule`` maps a 1-based level to rho_i (``strict_schedule`` is the
+    paper's recipe, ``geometric_schedule`` the desk one).
     ``nu`` overrides the final dilation factor (default 1e-5 eps rho_i^2, the
     strict choice, which collapses nontrivial Bohr sets at desk sizes).  In
     interval mode the frequency 1 joins every frequency set, which pins the
@@ -429,8 +430,6 @@ def upper_search(
     n = f.n
     fv = f.values
     alpha = f.mean()
-    if schedule is None:
-        schedule = strict_schedule(epsilon)
     spec = dft(f)
     amag = np.abs(spec.coeffs)
     rho1 = schedule(1)
@@ -462,9 +461,7 @@ def upper_search(
         nu = 1e-5 * epsilon * rho_c**2
     _, b_final = find_regular_scale(dilate(b_c, min(nu / 2, 1.0)))
     if b_final.size <= 1:
-        raise DegenerateBohrError(
-            f"Bohr set collapsed to the origin at level {chosen}", level=chosen
-        )
+        raise DegenerateBohrError(f"Bohr set collapsed to the origin at level {chosen}")
     # 0 is in B and |B| >= 2, so B+B contains B and a nonzero difference
     phi = phi_measure(b_final)
     support, sums = _support_sums(fv, phi)

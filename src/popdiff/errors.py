@@ -38,10 +38,6 @@ class RetriesExhausted(PopdiffError, RuntimeError):
 class DegenerateBohrError(PopdiffError, RuntimeError):
     """A Bohr set collapsed to {0}, leaving no nonzero difference to return."""
 
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
 
 class RegularityError(PopdiffError, RuntimeError):
     """A search found nothing where the theory guarantees a result: no regular

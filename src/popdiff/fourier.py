@@ -37,10 +37,9 @@ def dft_values(values) -> np.ndarray:
     return np.fft.ifft(vec, norm="forward") / len(vec)
 
 
-def idft(spec: Spectrum | np.ndarray) -> np.ndarray:
+def idft(coeffs) -> np.ndarray:
     """Inverse transform sum_r c(r) e(-x r / n) for every x; returns the complex
     value vector."""
-    coeffs = spec.coeffs if isinstance(spec, Spectrum) else spec
     return np.fft.fft(np.asarray(coeffs, dtype=np.complex128))
 
 

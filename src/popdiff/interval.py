@@ -10,6 +10,11 @@ error.  Step 3 re-randomizes the residue classes where g sits at its common
 value alpha*, placing an affine image of a scaled low-AP subset on each,
 which attacks the differences divisible by q.
 
+Layout: x in [N] is stored at index x - 1, so the tile on [N'] is g's period
+shifted by one, (g(1), ..., g(q-1), g(0)), repeated p times, and the class
+P_t = {x <= N' : x = t mod q} is the stride (t - 1) mod q, step q, of
+exactly p points.  Each step writes its output in place.
+
 Verification is an exhaustive scan over every 0 < d < N/2 in the
 over-(N-2d) normalization; the scan never appeals to the concentration
 arguments that motivate the construction.
@@ -164,7 +169,6 @@ def _modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors):
         if is_prime(q) and (3 * q - 1) / (q - 1) ** 3 >= eps_prod:
             out.append((q, (q,)))
         q += 2
-    out.sort(key=lambda t: -t[0])  # prefer many classes
     return out
 
 
@@ -176,10 +180,9 @@ def step1_step2_tile(params: IntervalParams, g: DensityFn) -> DensityFn:
     """Tile g over [N'] by residue mod q and zero the tail (N', N]."""
     if g.n != params.q:
         raise DomainError(f"profile lives on Z_{g.n}, expected Z_{params.q}")
-    n, np_, q = params.n_total, params.n_prime, params.q
-    x = np.arange(1, n + 1, dtype=np.int64)
-    values = np.where(x <= np_, g.values[x % q], 0.0)
-    f2 = DensityFn(interval(n), values)
+    values = np.zeros(params.n_total)
+    values[: params.n_prime].reshape(params.p, params.q)[:] = np.roll(g.values, -1)
+    f2 = DensityFn(interval(params.n_total), values)
     want = params.alpha
     got = f2.mean()
     # N' = p*q exactly, so the tiled mean is alpha' * N'/N = alpha exactly
@@ -229,18 +232,14 @@ def step3_overlay(
     phi_t enumerates P_t = {x <= N' : x = t mod q} in increasing order with
     phi_t(x_i) = i mod p, so each class mean is exactly E[xi] = alpha*.
     """
-    n, np_, q, p = params.n_total, params.n_prime, params.q, plan.n_classes
+    q, p = params.q, plan.n_classes
     if xi.n != p:
         raise DomainError(f"overlay profile lives on Z_{xi.n}, expected Z_{p}")
     values = f2.values.copy()
-    x = np.arange(1, n + 1, dtype=np.int64)
+    idx = np.arange(1, p + 1, dtype=np.int64) % p  # phi_t along the stride
     for t in plan.t_classes:
-        t = int(t)
-        first = t if t >= 1 else q  # smallest x >= 1 with x = t (mod q)
-        xs = np.arange(first, np_ + 1, q, dtype=np.int64)
-        idx = np.arange(1, len(xs) + 1, dtype=np.int64) % p
-        values[xs - 1] = xi.values[(plan.a[t] * idx + plan.b[t]) % p]
-    return DensityFn(interval(n), values)
+        values[(t - 1) % q : params.n_prime : q] = xi.values[(plan.a[t] * idx + plan.b[t]) % p]
+    return DensityFn(interval(params.n_total), values)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +348,8 @@ def construct_interval_fn(
             if abs(f3.mean() - alpha) > 1e-9:
                 raise DomainError(f"overlay broke the mean: {f3.mean()} vs {alpha}")
             worst_d, worst, ok = scan_interval_fn(f3.values, target)
-            if best is None or worst < best[2]:
-                best = (f3, worst_d, worst, plan)
+            if best is None or worst < best[1]:
+                best = (worst_d, worst)
             if ok:
                 cert = IntervalCert(
                     seed=seed,
@@ -370,12 +369,13 @@ def construct_interval_fn(
                     notes=params.notes,
                 )
                 return f3, cert
+            f3 = None  # one candidate alive: drop this one before the next is built
     raise RetriesExhausted(
         f"interval construction failed all {overlay_used} overlay x {product_used} product "
-        f"attempts; best attempt has density {best[2]:.6g} at d={best[1]} > target {target:.6g}",
+        f"attempts; best attempt has density {best[1]:.6g} at d={best[0]} > target {target:.6g}",
         log={
-            "worst_d": best[1],
-            "worst_density": best[2],
+            "worst_d": best[0],
+            "worst_density": best[1],
             "target": target,
             "overlay_retries": overlay_used,
             "product_retries": product_used,
@@ -437,17 +437,14 @@ def sample_set(
     if alpha is None:
         alpha = f.mean() - 2 * epsilon
     target = alpha**3 - epsilon
-    cutoff = n * (1 - epsilon)
-    x = np.arange(1, n + 1, dtype=np.int64)
-    fprime = np.where(x >= cutoff, 0.0, f.values)
+    fprime = f.values.copy()
+    fprime[max(math.ceil(n * (1 - epsilon)), 1) - 1 :] = 0.0  # x >= (1 - epsilon) N
     last = None
     for attempt in range(1, max_attempts + 1):
-        draws = rng.random(n)
-        members = x[draws < fprime]
-        indicator = np.zeros(n)
-        indicator[members - 1] = 1.0
+        hit = rng.random(n) < fprime
+        members = np.flatnonzero(hit) + 1
         size_ok = len(members) >= alpha * n
-        prof = ap_profile(DensityFn(interval(n), indicator), OVER_WINDOW)
+        prof = ap_profile(DensityFn(interval(n), hit), OVER_WINDOW)
         worst_d, worst, ok = worst_difference(prof, target)
         cert = SampleCert(
             seed=seed,

@@ -87,7 +87,6 @@ class FeasibilityCheck:
 class FeasibilityReport:
     mode: str
     checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def fatal(self) -> bool:
@@ -156,12 +155,10 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
             upper = math.exp(exponent) / 2
         except OverflowError:
             upper = math.inf
+        # exp(...)/2 from the headline statement; the modulus approximation
+        # argument quotes exp(...) without the /2
         rep.add(f"m{i}-growth-upper", m < upper, f"m{i}={m} vs exp(...)/2={upper:.6g}")
         n_prev *= m
-    rep.notes.append(
-        "growth-upper uses exp(...)/2 from the headline statement; the modulus "
-        "approximation argument quotes exp(...) without the /2"
-    )
 
     s_max = math.log(eps**-0.25 * a**6 / 8, 150) if eps > 0 else math.inf
     rep.add("level-count", s <= s_max, f"s={s} vs log150(eps^-1/4 alpha^6 / 8)={s_max:.4g}")

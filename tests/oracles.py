@@ -8,10 +8,11 @@ import numpy as np
 
 from popdiff import aps
 from popdiff.bohr import _EL_EPS, BohrSet, _from_dist, dilate
-from popdiff.domains import Spectrum, is_prime
-from popdiff.errors import DomainError, InfeasibleError, RegularityError
+from popdiff.domains import OVER_WINDOW, DensityFn, Spectrum, interval, is_prime
+from popdiff.errors import DomainError, InfeasibleError, RegularityError, RetriesExhausted
 from popdiff.fourier import dft_values, idft
 from popdiff.modelfn import build_model_fn, model_support
+from popdiff.interval import IntervalParams, OverlayPlan, SampleCert
 from popdiff.product import _ALPHA_PRIME_TOL, LevelState
 
 
@@ -348,3 +349,101 @@ def reference_random_modify_level(
     )
     new.density_table = reference_assemble_density_table(state, new, g.spectrum.coeffs)[w_of, y_of]
     return new
+
+
+def reference_step1_step2_tile(params: IntervalParams, g: DensityFn) -> DensityFn:
+    """Tile g over [N'] by residue mod q and zero the tail (N', N].
+
+    The reference for interval.step1_step2_tile: its earlier form, which
+    builds the length-N index x, x mod q and a gather.
+    """
+    if g.n != params.q:
+        raise DomainError(f"profile lives on Z_{g.n}, expected Z_{params.q}")
+    n, np_, q = params.n_total, params.n_prime, params.q
+    x = np.arange(1, n + 1, dtype=np.int64)
+    values = np.where(x <= np_, g.values[x % q], 0.0)
+    f2 = DensityFn(interval(n), values)
+    want = params.alpha
+    got = f2.mean()
+    # N' = p*q exactly, so the tiled mean is alpha' * N'/N = alpha exactly
+    if abs(got - want) > 1e-9:
+        raise DomainError(f"tiled mean {got} != alpha {want} beyond rounding")
+    return f2
+
+
+def reference_step3_overlay(
+    f2: DensityFn, params: IntervalParams, plan: OverlayPlan, xi: DensityFn
+) -> DensityFn:
+    """Replace f2 on each class P_t (t in T) by xi(a_t phi_t(x) + b_t).
+
+    phi_t enumerates P_t = {x <= N' : x = t mod q} in increasing order with
+    phi_t(x_i) = i mod p, so each class mean is exactly E[xi] = alpha*.
+    The reference for interval.step3_overlay: its earlier form, which builds
+    each class as an explicit index list.
+    """
+    n, np_, q, p = params.n_total, params.n_prime, params.q, plan.n_classes
+    if xi.n != p:
+        raise DomainError(f"overlay profile lives on Z_{xi.n}, expected Z_{p}")
+    values = f2.values.copy()
+    x = np.arange(1, n + 1, dtype=np.int64)
+    for t in plan.t_classes:
+        t = int(t)
+        first = t if t >= 1 else q  # smallest x >= 1 with x = t (mod q)
+        xs = np.arange(first, np_ + 1, q, dtype=np.int64)
+        idx = np.arange(1, len(xs) + 1, dtype=np.int64) % p
+        values[xs - 1] = xi.values[(plan.a[t] * idx + plan.b[t]) % p]
+    return DensityFn(interval(n), values)
+
+
+def reference_sample_set(
+    f: DensityFn,
+    epsilon: float,
+    rng: np.random.Generator,
+    max_attempts: int = 10,
+    alpha: float | None = None,
+    seed: int = 0,
+) -> tuple[np.ndarray, SampleCert]:
+    """Truncate the top epsilon-fraction of [N] to zero, sample each x into A
+    independently with probability f'(x), and check |A| >= alpha N together
+    with every per-difference density against alpha^3 - epsilon.
+
+    The reference for interval.sample_set: its earlier form, which builds
+    the length-N index x and a float indicator per attempt.
+    """
+    if f.domain.kind != "interval":
+        raise DomainError("sampling needs an interval function")
+    n = f.n
+    if alpha is None:
+        alpha = f.mean() - 2 * epsilon
+    target = alpha**3 - epsilon
+    cutoff = n * (1 - epsilon)
+    x = np.arange(1, n + 1, dtype=np.int64)
+    fprime = np.where(x >= cutoff, 0.0, f.values)
+    last = None
+    for attempt in range(1, max_attempts + 1):
+        draws = rng.random(n)
+        members = x[draws < fprime]
+        indicator = np.zeros(n)
+        indicator[members - 1] = 1.0
+        size_ok = len(members) >= alpha * n
+        prof = aps.ap_profile(DensityFn(interval(n), indicator), OVER_WINDOW)
+        worst_d, worst, ok = aps.worst_difference(prof, target)
+        cert = SampleCert(
+            seed=seed,
+            attempts=attempt,
+            size=len(members),
+            size_required=alpha * n,
+            worst_d=worst_d,
+            worst_density=worst,
+            target=target,
+            passed=bool(size_ok and ok),
+        )
+        last = (members, cert)
+        if cert.passed:
+            return members, cert
+    raise RetriesExhausted(
+        f"sampling failed {max_attempts} attempts; last: |A|={last[1].size} "
+        f"(need {last[1].size_required:.1f}), worst density {last[1].worst_density} "
+        f"at d={last[1].worst_d} vs target {target:.6g}",
+        log={"cert": last[1]},
+    )

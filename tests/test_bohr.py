@@ -14,6 +14,7 @@ from oracles import (
 )
 from popdiff.aps import per_diff_density, total_3ap_density
 from popdiff.bohr import (
+    _EL_EPS,
     BohrSet,
     beta_measure,
     bohr_set,
@@ -116,6 +117,41 @@ def test_regularity_golden_and_scale():
         nu, scaled = find_regular_scale(bohr_set(1009, freqs, rho))
         assert 0.5 - 1e-12 <= nu <= 1 + 1e-12
         assert is_regular(scaled)
+
+
+def _exit_slack_example():
+    # B({158}, r) on Z_349 with r = 23.005...: two elements at distance 23
+    return bohr_set(349, {158}, 23.005172283353133 / 349)
+
+
+def test_regular_exit_breakpoint_counterexample():
+    # the membership rule D <= s r + _EL_EPS keeps the two elements at
+    # distance 23 inside (B)_{1-delta} until delta = 1 - (23 - _EL_EPS)/r,
+    # which is past the exit candidate 1 - 23/r + 1e-12 that _regular checks.
+    # Just past that point the annulus holds 2 elements against
+    # 160 delta d |B| = 1.69, so the inequality fails there.
+    b = _exit_slack_example()
+    r = b.rho * b.n
+    assert b.size == 47 and b.codim == 1 and np.sum(b.dist == 23) == 2
+    delta = (1 - (23 - _EL_EPS) / r) * (1 + 1e-9)
+    assert abs(delta - 2.248e-4) < 1e-7 and delta <= 1 / 80
+
+    def inside(s):
+        return int(np.sum(b.dist <= s * r + _EL_EPS))
+
+    annulus = inside(1 + delta) - inside(1 - delta)
+    assert annulus == 2
+    assert round(160 * delta * b.codim * b.size, 2) == 1.69 < annulus
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_regular checks each exit breakpoint at down + 1e-12, inside the "
+    "_EL_EPS membership slack, so this irregular Bohr set is called regular",
+)
+def test_regular_sees_exit_breakpoint():
+    assert is_regular(_exit_slack_example()) is False
 
 
 def _assert_scale_matches_reference(b):

@@ -57,7 +57,7 @@ def test_roundtrip():
     rng = np.random.default_rng(2)
     for n in (65, 101, 4099):
         v = rng.uniform(0, 1, n)
-        back = idft(dft(DensityFn(cyclic(n), v)))
+        back = idft(dft(DensityFn(cyclic(n), v)).coeffs)
         assert np.abs(back.imag).max() < 1e-9
         assert np.abs(back.real - v).max() < 1e-9
 

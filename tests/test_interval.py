@@ -1,13 +1,17 @@
 """Interval construction: parameter search, tiling, overlay, sampling."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import reference_sample_set, reference_step1_step2_tile, reference_step3_overlay
 from popdiff.aps import ap_profile, ap_sums, per_diff_density, perdiff_table_sparse, worst_difference
 from popdiff.behrend import low_ap_density_subset, scaled_indicator
-from popdiff.domains import OVER_WINDOW, DensityFn, interval
+from popdiff.domains import OVER_WINDOW, DensityFn, cyclic, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft
 from popdiff.interval import (
@@ -286,3 +290,93 @@ def test_sample_set_pinned_retry_count():
         except RetriesExhausted as exc:
             counts.append(exc.log["cert"].attempts)
     assert counts[0] == counts[1]
+
+
+def _sample_outcomes(sampler, f, seed):
+    # epsilon = 1e-3 truncates the top of [N] and fails on the last cert;
+    # epsilon = -1 truncates nothing and sets a target every sample meets,
+    # so the first attempt passes and returns its members
+    with pytest.raises(RetriesExhausted) as info:
+        sampler(f, 1e-3, np.random.default_rng(seed), max_attempts=2)
+    members, cert = sampler(f, -1.0, np.random.default_rng(seed), alpha=0.0)
+    return str(info.value), info.value.log["cert"], members.dtype, members.tobytes(), cert
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("n_total", [1000, 20000, 54321, 10**5, 10**6])
+def test_steps_match_reference(n_total, q):
+    # the strided tile, overlay and sampler reproduce their index-array
+    # references bit for bit.  The overlay lays down a random profile on Z_p
+    # of mean about alpha* (any xi exercises the same strides); sampling at
+    # 10^6 thins f to |A| ~ 10^3 so that the exhaustive profile stays on the
+    # pair backend.
+    p = choose_interval_params(n_total, 0.05, 1e-3, mode="desk", factors=(q,))
+    g = build_g(p)
+    f2 = step1_step2_tile(p, g)
+    assert f2.values.tobytes() == reference_step1_step2_tile(p, g).values.tobytes()
+    thin = 0.02 if n_total > 10**5 else 1.0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        plan = make_overlay_plan(p, g, rng)
+        xi = DensityFn(cyclic(p.p), 2 * plan.alpha_star * rng.random(p.p))
+        f3 = step3_overlay(f2, p, plan, xi)
+        assert f3.values.tobytes() == reference_step3_overlay(f2, p, plan, xi).values.tobytes()
+        f = DensityFn(interval(n_total), thin * f3.values)
+        assert _sample_outcomes(sample_set, f, seed) == _sample_outcomes(reference_sample_set, f, seed)
+
+
+def test_interval_working_set():
+    # traced peaks in float vectors of length N: the output vector and
+    # DensityFn's clipped copy are two of them, and the overlay adds O(p)
+    # per class.  Building an index x and its gather costs more than one more.
+    p = desk_params(n_total=10**5)
+    g = build_g(p)
+    plan = make_overlay_plan(p, g, np.random.default_rng(0))
+    xi = scaled_indicator(low_ap_density_subset(p.p, plan.alpha_star), plan.alpha_star)
+    peaks = []
+    for step in (lambda: step1_step2_tile(p, g), lambda: step3_overlay(f2, p, plan, xi)):
+        tracemalloc.start()
+        try:
+            f2 = step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * p.n_total))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2.25 and peaks[1] <= 2.4, peaks
+
+
+def test_interval_keeps_one_candidate(monkeypatch):
+    # each failed overlay is dropped before the next one is built
+    from popdiff import interval as mod
+
+    real = mod.step3_overlay
+    built = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in built)
+        f3 = real(*args, **kwargs)
+        built.append(weakref.ref(f3))
+        return f3
+
+    monkeypatch.setattr(mod, "step3_overlay", tracked)
+    with pytest.raises(RetriesExhausted):
+        construct_interval_fn(desk_params(n_total=6000, hard_tail=False), seed=11,
+                              max_overlay_retries=3, max_product_retries=1)
+    assert len(built) == 3
+
+
+def test_construct_interval_failure_golden():
+    # message and log pinned from the index-array implementation
+    p = choose_interval_params(20000, 0.05, 1e-3, mode="desk")
+    with pytest.raises(RetriesExhausted) as info:
+        construct_interval_fn(p, seed=0, max_overlay_retries=2)
+    assert str(info.value) == (
+        "interval construction failed all 4 overlay x 2 product attempts; best attempt "
+        "has density 0.000133999 at d=3 > target 0.000124875"
+    )
+    assert info.value.log == {
+        "worst_d": 3,
+        "worst_density": 0.00013399939049039869,
+        "target": 0.00012487500000000004,
+        "overlay_retries": 4,
+        "product_retries": 2,
+    }
