@@ -262,6 +262,13 @@ def _at_least_1(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # a DomainError is a ValueError, so argparse rejects a bad --seed with it too
+    if not text.isdecimal():
+        raise DomainError(f"--seed and POPDIFF_SEED take decimal digits only, got {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -275,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--mode", choices=("strict", "desk"), default="desk")
 
     p = sub.add_parser("scan", help="per-difference density profile of a function file")
@@ -317,9 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     env_seed = os.environ.get("POPDIFF_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        args.seed = int(env_seed)
     try:
+        if env_seed is not None and hasattr(args, "seed"):
+            args.seed = _seed(env_seed)
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,7 +116,8 @@ def interval(n: int) -> DomainDesc:
 
 @dataclass
 class DensityFn:
-    """A function domain -> [0,1], stored as one value per element."""
+    """A function domain -> [0,1], stored as one value per element; a float64
+    vector already in [0, 1] is stored as given, shared with the caller."""
 
     domain: DomainDesc
     values: np.ndarray
@@ -129,11 +130,10 @@ class DensityFn:
             )
         if not np.isfinite(v).all():
             raise DomainError("values must be finite")
-        if v.min() < -_VALUE_SLACK or v.max() > 1 + _VALUE_SLACK:
-            raise DomainError(
-                f"values outside [0,1]: min={v.min()}, max={v.max()}"
-            )
-        self.values = np.clip(v, 0.0, 1.0)
+        lo, hi = v.min(), v.max()
+        if lo < -_VALUE_SLACK or hi > 1 + _VALUE_SLACK:
+            raise DomainError(f"values outside [0,1]: min={lo}, max={hi}")
+        self.values = v if lo >= 0 and hi <= 1 else np.clip(v, 0.0, 1.0)
 
     @property
     def n(self) -> int:

@@ -23,7 +23,7 @@ arguments that motivate the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -265,23 +265,9 @@ class IntervalCert:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "mode": self.mode,
-            "N": int(self.n_total),
-            "N_prime": int(self.n_prime),
-            "q": int(self.q),
-            "p": int(self.p),
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "alpha_star": self.alpha_star,
-            "overlay_retries": self.overlay_retries,
-            "product_retries": self.product_retries,
-            "worst_d": int(self.worst_d),
-            "worst_density": float(self.worst_density),
-            "passed": bool(self.passed),
-            "notes": self.notes,
-        }
+        d = asdict(self)
+        d["N"], d["N_prime"] = d.pop("n_total"), d.pop("n_prime")
+        return d
 
 
 def scan_interval_fn(values: np.ndarray, target: float) -> tuple:
@@ -402,16 +388,7 @@ class SampleCert:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "attempts": self.attempts,
-            "size": self.size,
-            "size_required": self.size_required,
-            "worst_d": self.worst_d,
-            "worst_density": self.worst_density,
-            "target": self.target,
-            "passed": bool(self.passed),
-        }
+        return asdict(self)
 
 
 def sample_set(

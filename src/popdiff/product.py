@@ -33,7 +33,7 @@ force in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -369,23 +369,7 @@ class ConstructionCert:
         return all(self.conclusions.values())
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "factors": [int(m) for m in self.factors],
-            "retries": self.retries,
-            "max_offdiag_density": self.max_offdiag_density,
-            "argmax_d": int(self.argmax_d),
-            "mean_cube": self.mean_cube,
-            "alpha_star": self.alpha_star,
-            "fraction_at_alpha_star": self.fraction_at_alpha_star,
-            "mu_requested": list(self.mu_requested),
-            "mu_effective": list(self.mu_effective),
-            "conclusions": self.conclusions,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _level_rng(seed: int, level: int, attempt: int) -> np.random.Generator:

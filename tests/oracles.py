@@ -447,3 +447,60 @@ def reference_sample_set(
         f"at d={last[1].worst_d} vs target {target:.6g}",
         log={"cert": last[1]},
     )
+
+
+# the hand-written certificate serializers that the dataclass-derived
+# to_dict methods replaced, verbatim but for taking the record as an argument
+
+
+def reference_construction_cert_to_dict(self) -> dict:
+    return {
+        "seed": int(self.seed),
+        "mode": self.mode,
+        "alpha": self.alpha,
+        "epsilon": self.epsilon,
+        "factors": [int(m) for m in self.factors],
+        "retries": self.retries,
+        "max_offdiag_density": self.max_offdiag_density,
+        "argmax_d": int(self.argmax_d),
+        "mean_cube": self.mean_cube,
+        "alpha_star": self.alpha_star,
+        "fraction_at_alpha_star": self.fraction_at_alpha_star,
+        "mu_requested": list(self.mu_requested),
+        "mu_effective": list(self.mu_effective),
+        "conclusions": self.conclusions,
+        "passed": self.passed,
+    }
+
+
+def reference_interval_cert_to_dict(self) -> dict:
+    return {
+        "seed": int(self.seed),
+        "mode": self.mode,
+        "N": int(self.n_total),
+        "N_prime": int(self.n_prime),
+        "q": int(self.q),
+        "p": int(self.p),
+        "alpha": self.alpha,
+        "epsilon": self.epsilon,
+        "alpha_star": self.alpha_star,
+        "overlay_retries": self.overlay_retries,
+        "product_retries": self.product_retries,
+        "worst_d": int(self.worst_d),
+        "worst_density": float(self.worst_density),
+        "passed": bool(self.passed),
+        "notes": self.notes,
+    }
+
+
+def reference_sample_cert_to_dict(self) -> dict:
+    return {
+        "seed": int(self.seed),
+        "attempts": self.attempts,
+        "size": self.size,
+        "size_required": self.size_required,
+        "worst_d": self.worst_d,
+        "worst_density": self.worst_density,
+        "target": self.target,
+        "passed": bool(self.passed),
+    }

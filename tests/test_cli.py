@@ -173,6 +173,25 @@ def test_construct_behrend_golden_bytes(tmp_path, n):
     assert (digest(f"{out}.set.json"), digest(f"{out}.cert.json")) == BEHREND_SHA256[n]
 
 
+# sha256 of the .set.json that `construct --kind lowap --alpha 0.05 --n n`
+# writes; it holds integers, strings and correctly rounded quotients of
+# integers (|A|/n and the 3-AP count over n^2), so the bytes do not depend on
+# the machine.  The .cert.json is not pinned: its bound goes through np.log2.
+LOWAP_SHA256 = {
+    55: "a7bdd421108d4b83c037085c375d6bc29e69138170e563cc981287ac4874ab41",
+    101: "6b1fb13581a7b11ce1882281298a89d8e780aa3ebc37a244c13e77a2c7c68f29",
+    1009: "082ac6564fab69ee46c80462f68da7f7539bae7f69ad1ffec152d5bd493a2a70",
+}
+
+
+@pytest.mark.parametrize("n", LOWAP_SHA256)
+def test_construct_lowap_golden_bytes(tmp_path, n):
+    out = tmp_path / "l"
+    assert main(["construct", "--kind", "lowap", "--alpha", "0.05", "--n", str(n),
+                 "--out", str(out)]) == 0
+    assert digest(f"{out}.set.json") == LOWAP_SHA256[n]
+
+
 def test_construct_product_exit_codes(tmp_path):
     # the m1=5 boost profile verifies its density target but genuinely
     # exceeds the 3/2 cube-moment target, so the cert reports a failure
@@ -472,3 +491,31 @@ def test_env_seed_override(tmp_path, monkeypatch):
           "--out", str(tmp_path / "g"), "--seed", "7"])
     obj = json.loads((tmp_path / "g.fn.json").read_text())
     assert obj["meta"]["seed"] == 123
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ("abc", ["construct", "--kind", "behrend", "--n", "5"]),
+        (None, ["construct", "--kind", "product", "--factors", "5,31", "--seed", "-1"]),
+        ("-3", ["construct", "--kind", "interval", "--alpha", "0.05", "--n", "20000"]),
+    ],
+    ids=["env-not-integer", "flag-negative", "env-negative"],
+)
+def test_bad_seed_exits_2(tmp_path, capsys, monkeypatch, env, argv):
+    # a seed is a non-negative integer, from --seed or POPDIFF_SEED; any
+    # other ends in exit 2 with an error line, before any work
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("POPDIFF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("POPDIFF_SEED", env)
+    assert exit_code(argv + ["--out", "c"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_ignores_env_seed(tmp_path, monkeypatch):
+    save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "g.fn.json")
+    monkeypatch.setenv("POPDIFF_SEED", "abc")
+    assert main(["verify", "--in", str(tmp_path / "g.fn.json"), "--epsilon", "0.05"]) == 1

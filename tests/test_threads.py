@@ -95,6 +95,11 @@ IMPORT_CASES = {
     "construct-behrend": (["construct", "--kind", "behrend", "--n", "27", "--out", "o"], 0, BARE),
     "construct-lowap": (["construct", "--kind", "lowap", "--alpha", "0.05", "--n", "55",
                          "--out", "o"], 0, ("bohr", "product", "interval", "modelfn")),
+    "construct-model": (["construct", "--kind", "model", "--n", "101", "--out", "o"], 0,
+                        ("bohr", "product", "interval", "behrend", "apfree", "numpy.random")),
+    "construct-product": (["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "8e-3",
+                           "--factors", "5", "--out", "o"], 1,
+                          ("bohr", "interval", "behrend", "apfree", "numpy.ma")),
 }
 
 PROBE = """
