@@ -15,6 +15,8 @@ smaller denominator).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .domains import (
@@ -241,19 +243,28 @@ def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto
     return APProfile(ap_sums(f.values, cyclic=False) / w, normalization, n)
 
 
-def worst_difference(prof: APProfile, target: float = np.inf) -> tuple:
-    """(d, density, passed) for the worst nonzero difference of a profile.
+@dataclass(frozen=True)
+class Verdict:
+    """The one verdict record: ``argmax_d`` attains ``max_offdiag`` over nonzero
+    d (both None when there is none), and passed is ``within(max_offdiag, target)``."""
+
+    argmax_d: int | None
+    max_offdiag: float | None
+    target: float
+    passed: bool
+
+
+def worst_difference(prof: APProfile, target: float = np.inf) -> Verdict:
+    """The ``Verdict`` of the worst nonzero difference of a profile.
 
     A group takes max(t[d], t[n-d]) over 1 <= d <= (n-1)/2 (d and -d are one
     difference) and an interval 1 <= d <= (N-1)/2; d is the smallest maximiser,
-    (None, None, True) means there is no nonzero d, and passed is
-    ``within(density, target)``."""
+    and with no nonzero d the verdict passes."""
     t = prof.densities[1:]
     if prof.normalization == GROUP:
         t = np.maximum(t[: prof.n // 2], t[::-1][: prof.n // 2])  # t[d-1] vs t[n-d-1]
     if t.size == 0:
-        return None, None, True
+        return Verdict(None, None, target, True)
     k = int(t.argmax())
     worst = float(t[k])
-    return k + 1, worst, within(worst, target)
-
+    return Verdict(k + 1, worst, target, bool(within(worst, target)))

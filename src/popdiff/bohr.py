@@ -397,11 +397,11 @@ class IncrementTrace:
     def to_dict(self) -> dict:
         out = {
             "levels": self.levels,
-            "chosen_i": int(self.chosen_i),
-            "lambda_phi": float(self.lambda_phi),
-            "d": int(self.d),
-            "density": float(self.density),
-            "collapsed": bool(self.collapsed),
+            "chosen_i": self.chosen_i,
+            "lambda_phi": self.lambda_phi,
+            "d": self.d,
+            "density": self.density,
+            "collapsed": self.collapsed,
         }
         if self.interval_mode:
             out["interval_mode"] = True
@@ -467,13 +467,13 @@ def upper_search(
     support, sums = _support_sums(fv, phi)
     table = np.full(n, -np.inf)
     table[support] = sums / n
-    d, density, _ = worst_difference(APProfile(table, GROUP, n))
+    worst = worst_difference(APProfile(table, GROUP, n))
     return IncrementTrace(
         levels=levels,
         chosen_i=chosen,
         lambda_phi=_weighted(phi, support, sums),
-        d=d,
-        density=density,
+        d=worst.argmax_d,
+        density=worst.max_offdiag,
         collapsed=support.size == n and all(lv["B_size"] == n for lv in levels),
         interval_mode=interval_mode,
         small_d_bound=2 * rho1 * n if interval_mode else None,

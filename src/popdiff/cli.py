@@ -79,15 +79,15 @@ def cmd_scan(args) -> int:
     f, _ = load_fn(args.infile)
     prof = ap_profile(f, normalization=OVER_N if args.norm == "over-n" else OVER_WINDOW)
     prof.to_csv(f"{args.out}.csv")
-    worst_d, worst, _ = worst_difference(prof)
+    worst = worst_difference(prof)
     summary = {
         "n": f.n,
         "normalization": prof.normalization,
         "mean": f.mean(),
         "total_3ap_density": total_3ap_density(f) if f.domain.is_group else None,
-        "max_offdiag_density": worst,
-        "min_offdiag_density": float(prof.densities[1:].min()) if worst_d else None,
-        "argmax_d": worst_d,
+        "max_offdiag_density": worst.max_offdiag,
+        "min_offdiag_density": float(prof.densities[1:].min()) if worst.argmax_d else None,
+        "argmax_d": worst.argmax_d,
         "meta": _meta(args, {"infile": str(args.infile)}),
     }
     _write_json(f"{args.out}.summary.json", summary)
@@ -232,19 +232,19 @@ def cmd_verify(args) -> int:
         raise FileFormatError("artifact holds neither values nor elements")
     alpha = args.alpha if args.alpha is not None else f.mean()
     target = alpha**3 * (1 - args.epsilon) if args.bound == "rel" else alpha**3 - args.epsilon
-    worst_d, worst, ok = worst_difference(ap_profile(f, OVER_WINDOW), target)
+    verdict = worst_difference(ap_profile(f, OVER_WINDOW), target)
     print(
         json.dumps(
             {
-                "target": target,
-                "worst_d": worst_d,
-                "worst_density": worst,
-                "passed": bool(ok),
+                "target": verdict.target,
+                "worst_d": verdict.argmax_d,
+                "worst_density": verdict.max_offdiag,
+                "passed": verdict.passed,
             },
             sort_keys=True,
         )
     )
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if verdict.passed else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ class InfeasibleError(PopdiffError, ValueError):
 class RetriesExhausted(PopdiffError, RuntimeError):
     """A randomized construction failed verification on every attempt.
 
-    Carries a ``log`` dict with the failing level/step and the best verdict
-    seen, so callers can report what was measured; it holds no failed state,
-    which is dropped before the next attempt is built.
+    Its ``log`` holds what was measured, never the failed state: a product
+    run ``{level, retries, best_verdict}``, an interval run ``{best_verdict,
+    overlay_retries, product_retries}`` and sampling ``{cert}``.  Each
+    ``best_verdict`` is the lowest failing ``aps.Verdict``; an interval scan
+    stops early, so its d is a first violating d, not a worst d.
     """
 
     def __init__(self, message, log=None):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .aps import ap_profile, ap_sums, within, worst_difference
+from .aps import Verdict, ap_profile, ap_sums, within, worst_difference
 from .behrend import low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
@@ -270,10 +270,10 @@ class IntervalCert:
         return d
 
 
-def scan_interval_fn(values: np.ndarray, target: float) -> tuple:
+def scan_interval_fn(values: np.ndarray, target: float) -> Verdict:
     """Over-(N-2d) scan of 0 < d < N/2 in doubling blocks (1, 2-3, 4-7, ...):
-    the first block with a density not ``within`` the target ends it with
-    (its first violating d, that density, False); a scan of every d returns
+    the first block with a density not ``within`` the target ends it with the
+    failing ``Verdict`` of its first violating d; a scan of every d returns
     ``worst_difference`` of the densities computed."""
     n = len(values)
     dens = np.zeros((n - 1) // 2 + 1)
@@ -283,7 +283,7 @@ def scan_interval_fn(values: np.ndarray, target: float) -> tuple:
         dens[ds] = ap_sums(values, ds, cyclic=False) / (n - 2 * ds)
         bad = ds[~within(dens[ds], target)]
         if bad.size:
-            return int(bad[0]), float(dens[bad[0]]), False
+            return Verdict(int(bad[0]), float(dens[bad[0]]), target, False)
         lo *= 2
     return worst_difference(APProfile(dens, OVER_WINDOW, n), target)
 
@@ -298,7 +298,7 @@ def construct_interval_fn(
 
     Overlay randomness is retried first (cheap); the product seed rotates
     only after the overlay budget is spent.  Raises RetriesExhausted carrying
-    the worst difference seen when every combination fails.
+    the lowest failing scan verdict when every combination fails.
     """
     alpha, eps = params.alpha, params.epsilon
     target = alpha**3 * (1 - eps)
@@ -333,10 +333,10 @@ def construct_interval_fn(
             f3 = step3_overlay(f2, params, plan, xi)
             if abs(f3.mean() - alpha) > 1e-9:
                 raise DomainError(f"overlay broke the mean: {f3.mean()} vs {alpha}")
-            worst_d, worst, ok = scan_interval_fn(f3.values, target)
-            if best is None or worst < best[1]:
-                best = (worst_d, worst)
-            if ok:
+            verdict = scan_interval_fn(f3.values, target)
+            if best is None or verdict.max_offdiag < best.max_offdiag:
+                best = verdict
+            if verdict.passed:
                 cert = IntervalCert(
                     seed=seed,
                     mode=params.mode,
@@ -349,23 +349,18 @@ def construct_interval_fn(
                     alpha_star=plan.alpha_star,
                     overlay_retries=overlay_used,
                     product_retries=product_used,
-                    worst_d=worst_d,
-                    worst_density=worst,
-                    passed=ok,
+                    worst_d=verdict.argmax_d,
+                    worst_density=verdict.max_offdiag,
+                    passed=verdict.passed,
                     notes=params.notes,
                 )
                 return f3, cert
             f3 = None  # one candidate alive: drop this one before the next is built
     raise RetriesExhausted(
         f"interval construction failed all {overlay_used} overlay x {product_used} product "
-        f"attempts; best attempt has density {best[1]:.6g} at d={best[0]} > target {target:.6g}",
-        log={
-            "worst_d": best[0],
-            "worst_density": best[1],
-            "target": target,
-            "overlay_retries": overlay_used,
-            "product_retries": product_used,
-        },
+        f"attempts; best attempt has density {best.max_offdiag:.6g} at d={best.argmax_d} "
+        f"> target {target:.6g}",
+        log={"best_verdict": best, "overlay_retries": overlay_used, "product_retries": product_used},
     )
 
 
@@ -422,16 +417,16 @@ def sample_set(
         members = np.flatnonzero(hit) + 1
         size_ok = len(members) >= alpha * n
         prof = ap_profile(DensityFn(interval(n), hit), OVER_WINDOW)
-        worst_d, worst, ok = worst_difference(prof, target)
+        verdict = worst_difference(prof, target)
         cert = SampleCert(
             seed=seed,
             attempts=attempt,
             size=len(members),
             size_required=alpha * n,
-            worst_d=worst_d,
-            worst_density=worst,
+            worst_d=verdict.argmax_d,
+            worst_density=verdict.max_offdiag,
             target=target,
-            passed=bool(size_ok and ok),
+            passed=bool(size_ok and verdict.passed),
         )
         last = (members, cert)
         if cert.passed:

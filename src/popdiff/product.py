@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .aps import ap_sums, triple_amplitudes, within, worst_difference
+from .aps import Verdict, ap_sums, triple_amplitudes, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .fourier import idft
@@ -327,20 +327,11 @@ def _assemble_density_table(prev: LevelState, state: LevelState, model_coeffs) -
 # verification
 
 
-@dataclass
-class LevelVerdict:
-    passed: bool
-    target: float
-    max_offdiag: float
-    argmax_d: int
-
-
-def verify_level(state: LevelState, epsilon: float) -> LevelVerdict:
+def verify_level(state: LevelState, epsilon: float) -> Verdict:
     """Exhaustive check that every nonzero difference has density at most
     alpha^3 (1 - epsilon), by ``worst_difference``."""
     target = state.alpha**3 * (1 - epsilon)
-    arg, worst, passed = worst_difference(APProfile(state.density_table, GROUP, state.n), target)
-    return LevelVerdict(passed=passed, target=target, max_offdiag=worst, argmax_d=arg)
+    return worst_difference(APProfile(state.density_table, GROUP, state.n), target)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +395,7 @@ def construct_product(
         raise RetriesExhausted(
             f"level 1 fails at every retry: max density {verdict.max_offdiag:.6g} "
             f"> target {verdict.target:.6g} (epsilon too large for m1={fac[0]})",
-            log={"level": 1, "verdict": verdict, "retries": retries},
+            log={"level": 1, "retries": retries, "best_verdict": verdict},
         )
 
     for i in range(2, len(fac) + 1):
@@ -450,7 +441,7 @@ def construct_product(
         mu_requested=mu,
         mu_effective=tuple(mu_effective),
         conclusions={
-            "max_offdiag_le_target": bool(verdict.passed),
+            "max_offdiag_le_target": verdict.passed,
             "mean_cube_le_3_2_alpha3": bool(within(mean_cube, 1.5 * alpha**3)),
             "alpha_star_in_window": bool(alpha - 1e-12 <= ap <= alpha * (1 + eps**0.25) + 1e-12),
             "fraction_ge_3_4": bool(frac >= 0.75),

@@ -427,7 +427,8 @@ def reference_sample_set(
         indicator[members - 1] = 1.0
         size_ok = len(members) >= alpha * n
         prof = aps.ap_profile(DensityFn(interval(n), indicator), OVER_WINDOW)
-        worst_d, worst, ok = aps.worst_difference(prof, target)
+        v = aps.worst_difference(prof, target)
+        worst_d, worst, ok = v.argmax_d, v.max_offdiag, v.passed
         cert = SampleCert(
             seed=seed,
             attempts=attempt,

@@ -10,6 +10,7 @@ import popdiff.domains
 from popdiff.aps import (
     SPARSE_TOL,
     VERDICT_SLACK,
+    Verdict,
     _pair_sums,
     ap_profile,
     ap_sums,
@@ -266,20 +267,24 @@ def test_worst_difference_rule():
     # a group maximum at n - d = 4 is reported at d = 3 with the same value,
     # and a tie between d = 1 and d = 2 goes to the smaller d
     table = np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1])
-    assert worst_difference(APProfile(table, GROUP, 7)) == (3, 0.35, True)
+    assert worst_difference(APProfile(table, GROUP, 7)) == Verdict(3, 0.35, np.inf, True)
     table = np.array([0.9, 0.3, 0.3, 0.1, 0.1, 0.2, 0.1])
-    assert worst_difference(APProfile(table, GROUP, 7)) == (1, 0.3, True)
+    assert worst_difference(APProfile(table, GROUP, 7)) == Verdict(1, 0.3, np.inf, True)
     # an interval [7] scans d = 1..3 only
-    assert worst_difference(APProfile([0.9, 0.1, 0.4, 0.4], OVER_WINDOW, 7)) == (2, 0.4, True)
+    assert (worst_difference(APProfile([0.9, 0.1, 0.4, 0.4], OVER_WINDOW, 7))
+            == Verdict(2, 0.4, np.inf, True))
     # no nonzero difference: Z_1, [1], [2]
-    assert worst_difference(APProfile([0.5], GROUP, 1), 0.0) == (None, None, True)
+    assert worst_difference(APProfile([0.5], GROUP, 1), 0.0) == Verdict(None, None, 0.0, True)
     for n in (1, 2):
-        assert worst_difference(APProfile([0.5], OVER_N, n), 0.0) == (None, None, True)
+        assert worst_difference(APProfile([0.5], OVER_N, n), 0.0) == Verdict(None, None, 0.0, True)
     # passed flips at target + VERDICT_SLACK
     prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
-    assert worst_difference(prof, 0.35)[2]
-    assert worst_difference(prof, 0.35 - VERDICT_SLACK / 2)[2]
-    assert not worst_difference(prof, 0.35 - 2 * VERDICT_SLACK)[2]
+    assert worst_difference(prof, 0.35).passed
+    assert worst_difference(prof, 0.35 - VERDICT_SLACK / 2).passed
+    assert not worst_difference(prof, 0.35 - 2 * VERDICT_SLACK).passed
+    # a verdict holds builtins only, so that every artifact serializes it as is
+    v = worst_difference(prof, np.float64(0.3))
+    assert type(v.argmax_d) is int and type(v.max_offdiag) is float and type(v.passed) is bool
 
 
 def test_verdict_slack_has_one_reader(monkeypatch):
@@ -292,8 +297,8 @@ def test_verdict_slack_has_one_reader(monkeypatch):
 
     def verdicts():
         return (
-            worst_difference(prof, 0.3)[2],
-            scan_interval_fn(np.full(101, 0.5), 0.12)[2],  # every d has density 1/8
+            worst_difference(prof, 0.3).passed,
+            scan_interval_fn(np.full(101, 0.5), 0.12).passed,  # every d has density 1/8
             low.ok,
             construct_product(boost, seed=42)[1].conclusions["mean_cube_le_3_2_alpha3"],
         )

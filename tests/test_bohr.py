@@ -36,6 +36,7 @@ from popdiff.domains import DensityFn, cyclic
 from popdiff.errors import DegenerateBohrError, DomainError, RegularityError
 from popdiff.fourier import dft_values
 from popdiff.modelfn import build_model_fn
+from test_certs import plain_leaves
 
 
 def random_fn(n, alpha, seed):
@@ -336,6 +337,7 @@ def test_upper_search_matches_argmax_oracle():
         # total density
         assert len(tr.phi_support) == 1009
         assert abs(tr.lambda_phi - total_3ap_density(f)) < 1e-12
+        assert tr.collapsed and plain_leaves(tr.to_dict())
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.3])
@@ -347,6 +349,7 @@ def test_upper_search_not_collapsed(alpha, n, rho0, sumset_size):
     tr = upper_search(f, eps, schedule=geometric_schedule(rho0, 0.5), nu=0.5)
     assert len(tr.phi_support) == sumset_size < n
     assert not tr.collapsed and tr.to_dict()["collapsed"] is False
+    assert plain_leaves(tr.to_dict())
     dens = {int(d): per_diff_density(f, int(d)) for d in tr.phi_support if d != 0}
     best = max(dens.values())
     ties = [min(d, n - d) for d, val in dens.items() if val >= best - 1e-15]

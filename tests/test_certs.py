@@ -1,6 +1,7 @@
 """Certificate records serialize their own fields: to_dict is derived from the
 dataclass and must write the same JSON as the hand-written dicts it replaced."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_interval_and_sample_certificates_hold_plain_values(monkeypatch):
     # no desk interval run passes its scan, so the verdict is forced; every
     # other field comes from the construction
     monkeypatch.setattr("popdiff.interval.scan_interval_fn",
-                        lambda v, t: (*scan_interval_fn(v, t)[:2], True))
+                        lambda v, t: dataclasses.replace(scan_interval_fn(v, t), passed=True))
     params = choose_interval_params(6000, 0.05, 1e-3, mode="desk")
     f, cert = construct_interval_fn(params, seed=11, max_overlay_retries=1)
     assert plain_leaves(cert.to_dict())

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 import shlex
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from popdiff.aps import _PAIR_CROSSOVER
 from popdiff.cli import BEHREND_MAX_N, main
 from popdiff.domains import DensityFn, cyclic, save_fn
+from popdiff.interval import IntervalCert
 
 
 def digest(path):
@@ -237,6 +240,44 @@ def test_verify_replay(tmp_path):
     save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "flat.json")
     assert main(["verify", "--in", str(tmp_path / "flat.json"), "--bound", "rel",
                  "--epsilon", "1e-3"]) == 1
+
+
+# verify's stdout, pinned: a sparse set in [2000] whose 300 members are under
+# _PAIR_CROSSOVER, so its counts are exact integers and the bytes do not
+# depend on the machine; and the constant function of test_verify_replay
+VERIFY_SET_STDOUT = ('{"passed": false, "target": 0.0023749999999999995, "worst_d": 956, '
+                     '"worst_density": 0.022727272727272728}\n')
+VERIFY_FLAT_STDOUT = ('{"passed": false, "target": 0.015609375, "worst_d": 12, '
+                      '"worst_density": 0.01562500000000001}\n')
+
+
+def test_verify_golden_stdout(tmp_path, capsys):
+    elements = sorted(random.Random(3).sample(range(1, 2001), 300))
+    assert len(elements) <= _PAIR_CROSSOVER * 2000
+    (tmp_path / "s.set.json").write_text(json.dumps({"elements": elements, "N": 2000}))
+    assert main(["verify", "--in", str(tmp_path / "s.set.json"), "--bound", "abs",
+                 "--epsilon", "1e-3"]) == 1
+    assert capsys.readouterr().out == VERIFY_SET_STDOUT
+    save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "flat.json")
+    assert main(["verify", "--in", str(tmp_path / "flat.json"), "--bound", "rel",
+                 "--epsilon", "1e-3"]) == 1
+    assert capsys.readouterr().out == VERIFY_FLAT_STDOUT
+
+
+def readme_cert_keys(kind):
+    """The keys that README's "Certificates (JSON)" list gives for ``kind``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.search(rf"- {kind}: `\{{(.*?)\}}`", text, re.S).group(1)
+    return [k.strip() for k in keys.split(",")]
+
+
+def test_readme_certificate_keys(tmp_path):
+    main(["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "8e-3",
+          "--factors", "5", "--out", str(tmp_path / "p"), "--seed", "42"])
+    cert = json.loads((tmp_path / "p.cert.json").read_text())
+    assert sorted(readme_cert_keys("product") + ["meta"]) == sorted(cert)
+    # no desk interval run writes a certificate, so its keys come from the record
+    assert sorted(readme_cert_keys("interval")) == sorted(IntervalCert(*range(15)).to_dict())
 
 
 def test_verify_set_artifact(tmp_path):

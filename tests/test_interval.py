@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import reference_sample_set, reference_step1_step2_tile, reference_step3_overlay
-from popdiff.aps import ap_profile, ap_sums, per_diff_density, perdiff_table_sparse, worst_difference
+from popdiff.aps import (
+    Verdict,
+    ap_profile,
+    ap_sums,
+    per_diff_density,
+    perdiff_table_sparse,
+    worst_difference,
+)
 from popdiff.behrend import low_ap_density_subset, scaled_indicator
 from popdiff.domains import OVER_WINDOW, DensityFn, cyclic, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
@@ -168,7 +175,7 @@ def test_construct_interval_reports_failure_deterministically():
     with pytest.raises(RetriesExhausted) as two:
         construct_interval_fn(p, seed=11, max_overlay_retries=2, max_product_retries=1)
     assert one.value.log == two.value.log
-    assert one.value.log["worst_density"] > p.alpha**3 * (1 - p.epsilon)
+    assert one.value.log["best_verdict"].max_offdiag > p.alpha**3 * (1 - p.epsilon)
 
 
 def test_flat_function_rejected_everywhere():
@@ -180,8 +187,8 @@ def test_flat_function_rejected_everywhere():
     target = alpha**3 * (1 - eps)
     for d in range(1, (n - 1) // 2 + 1):
         assert per_diff_density(f, d, OVER_WINDOW) > target
-    _, worst, ok = scan_interval_fn(f.values, target)
-    assert not ok and abs(worst - alpha**3) < 1e-12
+    verdict = scan_interval_fn(f.values, target)
+    assert not verdict.passed and abs(verdict.max_offdiag - alpha**3) < 1e-12
 
 
 def test_legs_in_distinct_classes():
@@ -200,10 +207,10 @@ def test_scan_matches_per_diff():
     rng = np.random.default_rng(5)
     n = 301
     f = DensityFn(interval(n), rng.uniform(0, 0.5, n))
-    worst_d, worst, _ = scan_interval_fn(f.values, target=1.0)
+    verdict = scan_interval_fn(f.values, target=1.0)
     dens = [per_diff_density(f, d, OVER_WINDOW) for d in range(1, (n - 1) // 2 + 1)]
-    assert abs(worst - max(dens)) < 1e-12
-    assert worst_d == int(np.argmax(dens)) + 1
+    assert abs(verdict.max_offdiag - max(dens)) < 1e-12
+    assert verdict.argmax_d == int(np.argmax(dens)) + 1
 
 
 @pytest.mark.parametrize("as_list", [False, True])
@@ -214,9 +221,9 @@ def test_scan_edge_cases(as_list):
         return [0.0] * n if as_list else np.zeros(n)
 
     for n in (0, 1, 2):
-        assert scan_interval_fn(zeros(n), 0.01) == (None, None, True)
-    assert scan_interval_fn(zeros(101), 0.01) == (1, 0.0, True)
-    assert scan_interval_fn(zeros(101), -0.01) == (1, 0.0, False)
+        assert scan_interval_fn(zeros(n), 0.01) == Verdict(None, None, 0.01, True)
+    assert scan_interval_fn(zeros(101), 0.01) == Verdict(1, 0.0, 0.01, True)
+    assert scan_interval_fn(zeros(101), -0.01) == Verdict(1, 0.0, -0.01, False)
 
 
 @given(st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=150), st.floats(0, 0.6))
@@ -232,11 +239,12 @@ def test_scan_matches_per_diff_loop(values, target):
     k = int(np.argmax(dens))
     first_bad = next((d for d, v in enumerate(dens, 1) if v > target + 1e-12), None)
     prof = ap_profile(DensityFn(interval(n), values), OVER_WINDOW)
-    assert worst_difference(prof, target) == (k + 1, dens[k], first_bad is None)
+    assert worst_difference(prof, target) == Verdict(k + 1, dens[k], target, first_bad is None)
     if first_bad is None:
-        assert scan_interval_fn(values, target) == (k + 1, dens[k], True)
+        assert scan_interval_fn(values, target) == Verdict(k + 1, dens[k], target, True)
     else:
-        assert scan_interval_fn(values, target) == (first_bad, dens[first_bad - 1], False)
+        assert (scan_interval_fn(values, target)
+                == Verdict(first_bad, dens[first_bad - 1], target, False))
 
 
 def test_sample_set_mechanics():
@@ -374,9 +382,7 @@ def test_construct_interval_failure_golden():
         "has density 0.000133999 at d=3 > target 0.000124875"
     )
     assert info.value.log == {
-        "worst_d": 3,
-        "worst_density": 0.00013399939049039869,
-        "target": 0.00012487500000000004,
+        "best_verdict": Verdict(3, 0.00013399939049039869, 0.00012487500000000004, False),
         "overlay_retries": 4,
         "product_retries": 2,
     }

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st_
 
 from oracles import reference_random_modify_level, smooth_tuple_ok
-from popdiff.aps import ap_sums, perdiff_table_sparse
+from popdiff.aps import Verdict, ap_sums, perdiff_table_sparse
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.modelfn import CUBE_MOMENT_FACTOR, TRIPLE_DENSITY_FACTOR, build_model_fn
 from popdiff.product import (
@@ -369,6 +369,26 @@ def test_construct_two_level_reports_failure():
     assert log["level"] == 2
     assert log["best_verdict"].max_offdiag > ALPHA**3
     assert log["retries"][-1]["attempts"] == 4
+
+
+def test_product_failure_logs_share_one_shape():
+    # a level-1 failure and a level-2 failure log the same keys, each with the
+    # failing level's lowest Verdict; the messages are pinned
+    cases = [
+        (ProductParams(0.25, 0.5, (5,)), 20,
+         "level 1 fails at every retry: max density 0.012207 > target 0.0078125 "
+         "(epsilon too large for m1=5)"),
+        (ProductParams(0.25, 1e-3, (5, 101)), 2,
+         "level 2 failed verification on all 2 attempts; best attempt: max density "
+         "0.0312329 at d=215 > target 0.0156094"),
+    ]
+    for params, retries, message in cases:
+        with pytest.raises(RetriesExhausted) as info:
+            construct_product(params, seed=1, max_retries_per_level=retries)
+        log = info.value.log
+        assert set(log) == {"level", "retries", "best_verdict"}
+        assert isinstance(log["best_verdict"], Verdict) and not log["best_verdict"].passed
+        assert str(info.value) == message
 
 
 def test_construct_keeps_one_candidate(monkeypatch):
