@@ -42,7 +42,6 @@ EXIT_CODES = (
     (DegenerateBohrError, 5),
     (RegularityError, 6),
     (PopdiffError, 2),
-    (json.JSONDecodeError, 2),
     (OSError, 2),
 )
 
@@ -76,7 +75,7 @@ def cmd_scan(args) -> int:
     from .aps import ap_profile, total_3ap_density, worst_difference
     from .domains import OVER_N, OVER_WINDOW, load_fn
 
-    f, _ = load_fn(args.infile)
+    f = load_fn(args.infile)
     prof = ap_profile(f, normalization=OVER_N if args.norm == "over-n" else OVER_WINDOW)
     prof.to_csv(f"{args.out}.csv")
     worst = worst_difference(prof)
@@ -174,9 +173,9 @@ def cmd_upper(args) -> int:
     from .bohr import geometric_schedule, strict_schedule, upper_search
     from .domains import load_fn
 
-    f, _ = load_fn(args.infile)
+    f = load_fn(args.infile)
     if not f.domain.is_group:
-        raise FileFormatError("the search needs an odd-order group function file")
+        raise FileFormatError("the search needs an odd-order group input")
     if args.schedule == "strict":
         schedule = strict_schedule(args.epsilon)
     else:
@@ -190,46 +189,11 @@ def cmd_upper(args) -> int:
     return EXIT_OK if trace.density >= alpha**3 - args.epsilon else EXIT_VERIFY
 
 
-def _set_indicator(obj: dict):
-    """Indicator of a set artifact: distinct residues 0..n-1 of Z_n under
-    ``n``, or distinct members 1..N of the interval [N] under ``N``; never both."""
-    import numpy as np
-
-    from .domains import DensityFn, _is_int, cyclic, interval
-
-    if "n" in obj and "N" in obj:
-        raise FileFormatError("set artifact names both 'n' (Z_n) and 'N' ([N]); give one")
-    key = "n" if "n" in obj else "N"
-    size = obj.get(key)
-    if not _is_int(size) or size < 1:
-        raise FileFormatError(f"set artifact needs a positive integer 'n' or 'N', got {size!r}")
-    elements = obj["elements"]
-    if not isinstance(elements, list) or not all(_is_int(v) for v in elements):
-        raise FileFormatError("set elements must be a list of integers")
-    lo = 0 if key == "n" else 1
-    bad = next((v for v in elements if not lo <= v < lo + size), None)
-    if bad is not None:
-        raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
-    _check_size(size, f"set artifact {key}")
-    counts = np.bincount(np.asarray(elements, dtype=np.int64) - lo, minlength=size)
-    if counts.max() > 1:
-        raise FileFormatError(f"set element {int(counts.argmax()) + lo} is repeated")
-    return DensityFn(cyclic(size) if key == "n" else interval(size), counts.astype(np.float64))
-
-
 def cmd_verify(args) -> int:
     from .aps import ap_profile, worst_difference
-    from .domains import OVER_WINDOW, fn_from_dict
+    from .domains import OVER_WINDOW, load_fn
 
-    obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise FileFormatError("artifact must be a JSON object")
-    if "values" in obj:
-        f, _ = fn_from_dict(obj)
-    elif "elements" in obj:
-        f = _set_indicator(obj)
-    else:
-        raise FileFormatError("artifact holds neither values nor elements")
+    f = load_fn(args.infile)
     alpha = args.alpha if args.alpha is not None else f.mean()
     target = alpha**3 * (1 - args.epsilon) if args.bound == "rel" else alpha**3 - args.epsilon
     verdict = worst_difference(ap_profile(f, OVER_WINDOW), target)
@@ -285,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--mode", choices=("strict", "desk"), default="desk")
 
-    p = sub.add_parser("scan", help="per-difference density profile of a function file")
+    p = sub.add_parser("scan", help="per-difference density profile of an input artifact")
     common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)

@@ -17,7 +17,9 @@ complex vectors indexed by frequencies r in Z_n under the convention
 File formats (used by the CLI and by every construction artifact):
 
 * function file (JSON): ``{"domain": {"kind", "n", "factors"?}, "values": [...]}``
-  plus optional extra keys (``model``, ``meta``) that loaders pass through;
+  plus optional extra keys (``model``, ``meta``) that the loader ignores;
+* set artifact (JSON): ``{"elements": [...], "n" | "N"}``, residues 0..n-1 of Z_n
+  or members 1..N of [N]; ``load_fn`` reads either kind, a set as its indicator;
 * profile CSV: header ``d,density``, one row per difference, densities with
   12 significant digits.
 """
@@ -200,7 +202,7 @@ def fn_to_dict(f: DensityFn, extra: dict | None = None) -> dict:
     return out
 
 
-def fn_from_dict(obj: dict) -> tuple[DensityFn, dict]:
+def fn_from_dict(obj: dict) -> DensityFn:
     try:
         dom = obj["domain"]
         kind = dom["kind"]
@@ -222,9 +224,32 @@ def fn_from_dict(obj: dict) -> tuple[DensityFn, dict]:
     # the length before DomainDesc, which tests product factors for primality
     if arr.shape != (n,):
         raise FileFormatError(f"value vector has shape {arr.shape}, domain has size {n}")
-    f = DensityFn(DomainDesc(kind, n, tuple(factors)), arr)
-    extras = {k: v for k, v in obj.items() if k not in ("domain", "values")}
-    return f, extras
+    return DensityFn(DomainDesc(kind, n, tuple(factors)), arr)
+
+
+def set_from_dict(obj: dict) -> DensityFn:
+    """Indicator of a set artifact: distinct residues 0..n-1 of Z_n under
+    ``n``, or distinct members 1..N of the interval [N] under ``N``; never both."""
+    if "n" in obj and "N" in obj:
+        raise FileFormatError("set artifact names both 'n' (Z_n) and 'N' ([N]); give one")
+    key = "n" if "n" in obj else "N"
+    size = obj.get(key)
+    if not _is_int(size) or size < 1:
+        raise FileFormatError(f"set artifact needs a positive integer 'n' or 'N', got {size!r}")
+    elements = obj["elements"]
+    if not isinstance(elements, list) or not all(_is_int(v) for v in elements):
+        raise FileFormatError("set elements must be a list of integers")
+    lo = 0 if key == "n" else 1
+    bad = next((v for v in elements if not lo <= v < lo + size), None)
+    if bad is not None:
+        raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
+    try:  # OverflowError, or numpy's ValueError "array is too big": past the index range
+        counts = np.bincount(np.asarray(elements, dtype=np.int64) - lo, minlength=size)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise DomainError(f"set artifact {key} = {size} is too large to hold a value vector") from exc
+    if counts.max() > 1:
+        raise FileFormatError(f"set element {int(counts.argmax()) + lo} is repeated")
+    return DensityFn(cyclic(size) if key == "n" else interval(size), counts.astype(np.float64))
 
 
 def save_fn(f: DensityFn, path, extra: dict | None = None) -> None:
@@ -233,11 +258,12 @@ def save_fn(f: DensityFn, path, extra: dict | None = None) -> None:
     )
 
 
-def load_fn(path) -> tuple[DensityFn, dict]:
-    try:
+def load_fn(path) -> DensityFn:
+    """The function of a function file, or the indicator of a set artifact."""
+    try:  # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deep
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read function file {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FileFormatError("function file must hold a JSON object")
-    return fn_from_dict(obj)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict) or not {"values", "elements"} & obj.keys():
+        raise FileFormatError(f"{path} holds no JSON object with values or elements")
+    return fn_from_dict(obj) if "values" in obj else set_from_dict(obj)

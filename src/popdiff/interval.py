@@ -162,11 +162,12 @@ def _modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors):
     if factors is not None:
         fac = tuple(int(m) for m in factors)
         return [(math.prod(fac), fac)]
-    # single-factor moduli: the base profile needs (3q-1)/(q-1)^3 >= eps_prod
+    # single-factor moduli: the base profile needs (3q-1)/(q-1)^3 >= eps_prod,
+    # which falls as q grows, so the first q that fails it ends the scan
     out = []
     q = max(5, int(q_lo) | 1)
-    while q <= q_hi:
-        if is_prime(q) and (3 * q - 1) / (q - 1) ** 3 >= eps_prod:
+    while q <= q_hi and (3 * q - 1) / (q - 1) ** 3 >= eps_prod:
+        if is_prime(q):
             out.append((q, (q,)))
         q += 2
     return out

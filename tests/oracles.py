@@ -3,6 +3,7 @@ against; nothing in src/ calls them."""
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -505,3 +506,18 @@ def reference_sample_cert_to_dict(self) -> dict:
         "target": self.target,
         "passed": bool(self.passed),
     }
+
+
+def reference_modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors):
+    """Moduli q (with factorizations) admissible for the product side."""
+    if factors is not None:
+        fac = tuple(int(m) for m in factors)
+        return [(math.prod(fac), fac)]
+    # single-factor moduli: the base profile needs (3q-1)/(q-1)^3 >= eps_prod
+    out = []
+    q = max(5, int(q_lo) | 1)
+    while q <= q_hi:
+        if is_prime(q) and (3 * q - 1) / (q - 1) ** 3 >= eps_prod:
+            out.append((q, (q,)))
+        q += 2
+    return out

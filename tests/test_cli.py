@@ -1,10 +1,12 @@
 """CLI surface: commands, exit codes, determinism, seed handling."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from popdiff.aps import _PAIR_CROSSOVER
 from popdiff.cli import BEHREND_MAX_N, main
-from popdiff.domains import DensityFn, cyclic, save_fn
+from popdiff.domains import DensityFn, cyclic, interval, save_fn
 from popdiff.interval import IntervalCert
 
 
@@ -309,6 +311,14 @@ def test_verify_malformed_set_artifact(tmp_path, capsys, artifact):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def read_argv(command, path, tmp_path):
+    """argv of ``command`` reading ``path``, with any output under ``tmp_path``."""
+    return {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
+            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"],
+            "upper": ["upper", "--in", str(path), "--epsilon", "0.05", "--out",
+                      str(tmp_path / "t")]}[command]
+
+
 @pytest.mark.parametrize("command", ["scan", "verify", "upper"])
 @pytest.mark.parametrize(
     "domain",
@@ -320,11 +330,7 @@ def test_function_file_non_integer_size(tmp_path, capsys, command, domain):
     # the value count matches the intended size, so only a type is wrong
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"domain": domain, "values": [0.25] * int(domain["n"])}))
-    argv = {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
-            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"],
-            "upper": ["upper", "--in", str(path), "--epsilon", "0.05", "--out",
-                      str(tmp_path / "t")]}[command]
-    assert main(argv) == 2
+    assert main(read_argv(command, path, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -369,6 +375,7 @@ LOADER_FUZZ = {
     "set-both-n-and-N": {"elements": [1, 2, 3], "N": 3, "n": 5},
     "set-N-unallocatable": {"elements": [1], "N": 10**18},
     "set-N-beyond-numpy-dimension": {"elements": [1], "N": 10**30},
+    "set-N-past-index-range": {"elements": [1], "N": 2**62},
     # each is rejected before the factor's primality is tested
     "factor-huge-values-short": _fn_file(kind="product", n=HUGE_PRIME, factors=[HUGE_PRIME],
                                          values=[0.25] * 3),
@@ -380,14 +387,10 @@ LOADER_FUZZ = {
 @pytest.mark.parametrize("case", LOADER_FUZZ)
 def test_loader_fuzz(tmp_path, capsys, command, case):
     # malformed function and set files end in exit 2 and an error line, never
-    # in a traceback; scan and upper read function files only
+    # in a traceback; all three commands read their input through load_fn
     path = tmp_path / "f.json"
     path.write_text(json.dumps(LOADER_FUZZ[case]))
-    argv = {"scan": ["scan", "--in", str(path), "--out", str(tmp_path / "s")],
-            "verify": ["verify", "--in", str(path), "--epsilon", "0.01"],
-            "upper": ["upper", "--in", str(path), "--epsilon", "0.05", "--out",
-                      str(tmp_path / "t")]}[command]
-    assert main(argv) == 2
+    assert main(read_argv(command, path, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -503,10 +506,78 @@ def test_upper_degenerate_exit(tmp_path):
     assert code == 5
 
 
-def test_malformed_file_exit(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["scan", "--in", str(bad), "--out", str(tmp_path / "s")]) == 2
+UNREADABLE = {
+    "missing": None,
+    "bad-json": b"{not json",
+    "not-utf8": b"\xff\xfe{}",
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "upper", "verify"])
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_malformed_file_exit(tmp_path, capsys, command, case):
+    # every command turns a file it cannot read or parse into exit 2
+    path = tmp_path / "in.json"
+    content = UNREADABLE[case]
+    if content is not None:
+        path.write_bytes(content)
+    assert main(read_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and str(path) in err
+    assert list(tmp_path.iterdir()) == ([] if content is None else [path])
+
+
+def scan_outputs(tmp_path, infile, out, norm):
+    """(csv bytes, summary without meta.params.infile) of one scan."""
+    assert main(["scan", "--in", str(infile), "--norm", norm, "--out", str(tmp_path / out)]) == 0
+    summary = json.loads((tmp_path / f"{out}.summary.json").read_text())
+    del summary["meta"]["params"]["infile"]
+    return (tmp_path / f"{out}.csv").read_bytes(), summary
+
+
+def test_scan_set_artifact_over_n(tmp_path):
+    # scan --norm over-n on a set A in [N] writes the paper's c_d(A)/N, and a
+    # set artifact scans exactly as its indicator saved as a function file
+    n = 60
+    elements = sorted(random.Random(5).sample(range(1, n + 1), 24))
+    (tmp_path / "a.set.json").write_text(json.dumps({"elements": elements, "N": n}))
+    indicator = np.zeros(n)
+    indicator[np.array(elements) - 1] = 1
+    save_fn(DensityFn(interval(n), indicator), tmp_path / "a.fn.json")
+    counts = Counter(y - x for x, y, z in itertools.combinations(elements, 3) if y - x == z - y)
+    counts[0] = len(elements)
+    for norm in ("over-window", "over-n"):
+        csv, summary = scan_outputs(tmp_path, tmp_path / "a.set.json", "set", norm)
+        assert (csv, summary) == scan_outputs(tmp_path, tmp_path / "a.fn.json", "fn", norm)
+    rows = csv.decode().splitlines()[1:]  # the over-n profile
+    assert len(rows) == (n - 1) // 2 + 1
+    assert rows == [f"{d},{counts[d] / n:.12g}" for d in range(len(rows))]
+
+
+def test_scan_and_upper_read_cyclic_set_artifact(tmp_path):
+    main(["construct", "--kind", "lowap", "--alpha", "0.05", "--n", "1009",
+          "--out", str(tmp_path / "low")])
+    obj = json.loads((tmp_path / "low.set.json").read_text())
+    indicator = np.zeros(obj["n"])
+    indicator[obj["elements"]] = 1
+    save_fn(DensityFn(cyclic(obj["n"]), indicator), tmp_path / "low.fn.json")
+    assert (scan_outputs(tmp_path, tmp_path / "low.set.json", "set", "over-window")
+            == scan_outputs(tmp_path, tmp_path / "low.fn.json", "fn", "over-window"))
+    traces = []
+    for name in ("low.set", "low.fn"):
+        assert main(["upper", "--in", str(tmp_path / f"{name}.json"), "--epsilon", "0.05",
+                     "--rho0", "0.3", "--out", str(tmp_path / name)]) == 0
+        traces.append((tmp_path / f"{name}.trace.json").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_upper_refuses_interval_input(tmp_path, capsys):
+    (tmp_path / "a.set.json").write_text(json.dumps({"elements": [1, 2, 4], "N": 9}))
+    assert main(["upper", "--in", str(tmp_path / "a.set.json"), "--epsilon", "0.05",
+                 "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == "error: the search needs an odd-order group input\n"
+    assert not (tmp_path / "t.trace.json").exists()
 
 
 def test_determinism_byte_identical(tmp_path):

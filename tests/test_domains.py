@@ -59,11 +59,22 @@ def test_function_file_roundtrip(tmp_path):
     m = build_model_fn(0.25, 101)
     path = tmp_path / "g.json"
     save_fn(m.fn, path, extra={"model": {"alpha": 0.25, "n": 101}})
-    f, extras = load_fn(path)
+    f = load_fn(path)  # the extra block is written, and ignored on reading
     assert np.abs(f.values - m.values).max() == 0.0
-    assert extras["model"]["n"] == 101
     raw = json.loads(path.read_text())
     assert raw["domain"] == {"kind": "cyclic", "n": 101}
+    assert raw["model"] == {"alpha": 0.25, "n": 101}
+
+
+def test_set_artifact_loads_as_indicator(tmp_path):
+    # residues 0..n-1 of Z_n under "n", members 1..N of [N] under "N"
+    path = tmp_path / "s.set.json"
+    path.write_text(json.dumps({"elements": [0, 3], "n": 5, "density": 0.4}))
+    f = load_fn(path)
+    assert f.domain == cyclic(5) and f.values.tolist() == [1, 0, 0, 1, 0]
+    path.write_text(json.dumps({"elements": [1, 4], "N": 4}))
+    f = load_fn(path)
+    assert f.domain == interval(4) and f.values.tolist() == [1, 0, 0, 1]
 
 
 def test_malformed_function_file(tmp_path):

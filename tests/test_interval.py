@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_sample_set, reference_step1_step2_tile, reference_step3_overlay
+from oracles import (
+    reference_modulus_candidates,
+    reference_sample_set,
+    reference_step1_step2_tile,
+    reference_step3_overlay,
+)
 from popdiff.aps import (
     Verdict,
     ap_profile,
@@ -22,6 +27,7 @@ from popdiff.domains import OVER_WINDOW, DensityFn, cyclic, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft
 from popdiff.interval import (
+    _modulus_candidates,
     choose_interval_params,
     construct_interval_fn,
     make_overlay_plan,
@@ -61,6 +67,14 @@ def test_desk_choice_lands_near_n():
     from popdiff.domains import is_prime
 
     assert is_prime(p.p)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("n_total", [10**5, 10**6, 10**7])
+def test_modulus_candidates_match_reference(n_total, eps):
+    # the desk window [5, N^0.8]; the reference tests every odd q in it
+    args = (4 * eps, 0.05, 5, n_total**0.8, None)
+    assert _modulus_candidates(*args) == reference_modulus_candidates(*args)
 
 
 def test_desk_tail_floor():

@@ -88,6 +88,7 @@ IMPORT_CASES = {
     "version": (["--version"], 0, BARE),
     "bad-flag": (["scan", "--bogus"], 2, BARE),
     "scan": (["scan", "--in", "u.fn.json", "--out", "o"], 0, SCAN),
+    "scan-set": (["scan", "--in", "s.set.json", "--out", "o"], 0, SCAN),
     "verify-fn": (["verify", "--in", "u.fn.json", "--epsilon", "0.5"], 1, SCAN),
     "verify-set": (["verify", "--in", "s.set.json", "--epsilon", "0.5"], 0, SCAN),
     "upper": (["upper", "--in", "u.fn.json", "--epsilon", "0.05", "--out", "o"], 0,
