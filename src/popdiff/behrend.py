@@ -12,6 +12,7 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,13 +36,20 @@ _INTERVAL_CAP = 4096
 
 @dataclass
 class LowAPSubset:
+    """A subset of Z_n (sorted ``elements``), its density and its 3-AP density
+    bound; ``ap_density`` (3-APs (x, x + d, x + 2d) over all x, d in Z_n, over
+    n^2) is counted on first read, and the interval overlay never reads it."""
+
     n: int
     elements: np.ndarray
     density: float
-    ap_density: float
     bound: float
     source_interval: int
     block_width: int  # 0 for the windowed branch
+
+    @cached_property
+    def ap_density(self) -> float:
+        return int(ap_sums(np.bincount(self.elements, minlength=self.n)).sum()) / self.n**2
 
     @property
     def ok(self) -> bool:
@@ -78,9 +86,9 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
     """A subset of Z_n with density >= alpha and few 3-APs.
 
     The interval bound N is chosen constructively: the largest N for which
-    the AP-free generator reaches density 6*alpha.  The certificate carries
-    measured density and 3-AP density; the target bound is
-    max(1/n, 2^(-(log2(1/alpha))^2 / 9)).
+    the AP-free generator reaches density 6*alpha.  The result carries the
+    measured density and the target bound max(1/n, 2^(-(log2(1/alpha))^2 / 9));
+    its 3-AP density is counted only when read.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -103,12 +111,10 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
         else:
             elems = _block_subset(a_set, n, n_a, alpha)
         if elems is not None and len(elems) >= alpha * n:
-            ap = int(ap_sums(np.bincount(elems, minlength=n)).sum()) / n**2
             return LowAPSubset(
                 n=n,
                 elements=np.asarray(sorted(elems), dtype=np.int64),
                 density=len(elems) / n,
-                ap_density=ap,
                 bound=bound,
                 source_interval=n_a,
                 block_width=0 if n <= 4 * n_a else max(1, n // (4 * n_a)),
@@ -137,14 +143,13 @@ def _block_subset(a_set: np.ndarray, n: int, n_a: int, alpha: float):
     if t < 1:
         return None
     need = int(np.ceil(6 * alpha * n_a))
+    # the range ends at len(a_set), so a set that never reaches alpha*n falls short whole
     for size in range(min(need, len(a_set)), len(a_set) + 1):
         if size * t >= alpha * n:
             a_use = np.asarray(a_set[:size], dtype=np.int64)
             break
     else:
-        a_use = np.asarray(a_set, dtype=np.int64)
-        if len(a_use) * t < alpha * n:
-            return None
+        return None
     doubled = 2 * a_use
     offs = np.arange(1, t + 1, dtype=np.int64)
     elems = ((doubled[:, None] - 1) * t + offs[None, :]).ravel()

@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
 
 
 def _factors(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+    return tuple(_at_least_1(v) for v in text.split(","))
 
 
 def _at_least_1(text: str) -> int:
@@ -240,6 +240,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _mean(text: str) -> float:
+    # the mean of a [0, 1]-valued function
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="popdiff")
     ap.add_argument("--version", action="version", version=f"popdiff {__version__}")
@@ -259,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="run a construction and certify it")
     common(p)
     p.add_argument("--kind", choices=("model", "behrend", "lowap", "product", "interval"), required=True)
-    p.add_argument("--alpha", type=_positive, default=0.25)
+    p.add_argument("--alpha", type=_mean, default=0.25)
     p.add_argument("--epsilon", type=_positive, default=1e-3)
     p.add_argument("--n", type=int, default=101, help="modulus / interval length")
     p.add_argument("--factors", type=_factors, default=())
@@ -280,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bound", choices=("rel", "abs"), default="rel")
     p.add_argument("--epsilon", type=_positive, required=True)
-    p.add_argument("--alpha", type=_positive, default=None)
+    p.add_argument("--alpha", type=_mean, default=None)
     p.set_defaults(func=cmd_verify)
     return ap
 

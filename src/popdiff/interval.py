@@ -13,7 +13,9 @@ which attacks the differences divisible by q.
 Layout: x in [N] is stored at index x - 1, so the tile on [N'] is g's period
 shifted by one, (g(1), ..., g(q-1), g(0)), repeated p times, and the class
 P_t = {x <= N' : x = t mod q} is the stride (t - 1) mod q, step q, of
-exactly p points.  Each step writes its output in place.
+exactly p points.  Step 2 writes the tile in place, and step 3 overwrites
+the classes of T on that same vector, so a product attempt holds one
+length-N vector however many overlays it tries.
 
 Verification is an exhaustive scan over every 0 < d < N/2 in the
 over-(N-2d) normalization; the scan never appeals to the concentration
@@ -120,7 +122,7 @@ def choose_interval_params(
         beta_cap = max(beta_cap, beta_floor * 1.5 + 0.01)
 
     eps_prod = 4 * epsilon
-    candidates = _modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors)
+    candidates = _modulus_candidates(eps_prod, q_lo, q_hi, factors)
     if not candidates:
         raise InfeasibleError(
             f"no admissible modulus q in ({q_lo:.4g}, {q_hi:.4g}) for the product side"
@@ -157,7 +159,7 @@ def choose_interval_params(
     )
 
 
-def _modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors):
+def _modulus_candidates(eps_prod, q_lo, q_hi, factors):
     """Moduli q (with factorizations) admissible for the product side."""
     if factors is not None:
         fac = tuple(int(m) for m in factors)
@@ -196,51 +198,35 @@ def step1_step2_tile(params: IntervalParams, g: DensityFn) -> DensityFn:
 # step 3: overlay
 
 
-def _common_value(g: DensityFn) -> float:
-    """The most frequent value of g, rounded to 12 decimals."""
+def _common_classes(g: DensityFn) -> tuple[float, np.ndarray]:
+    """The most frequent value alpha* of g, rounded to 12 decimals, and the
+    residues T where g sits at it."""
     vals, counts = np.unique(np.round(g.values, 12), return_counts=True)
-    return float(vals[counts.argmax()])
-
-
-@dataclass
-class OverlayPlan:
-    alpha_star: float
-    t_classes: np.ndarray  # residues t with g(t) = alpha*
-    a: np.ndarray  # per-residue dilation (0 outside T)
-    b: np.ndarray
-    n_classes: int  # p = |P_t|
-
-
-def make_overlay_plan(
-    params: IntervalParams, g: DensityFn, rng: np.random.Generator
-) -> OverlayPlan:
-    """Identify the common value alpha* and draw affine maps per class."""
-    alpha_star = _common_value(g)
-    t_classes = np.flatnonzero(np.abs(g.values - alpha_star) <= 1e-9)
-    q, p = params.q, params.p
-    a = np.zeros(q, dtype=np.int64)
-    b = np.zeros(q, dtype=np.int64)
-    a[t_classes] = rng.integers(1, p, size=len(t_classes))
-    b[t_classes] = rng.integers(0, p, size=len(t_classes))
-    return OverlayPlan(alpha_star, t_classes, a, b, p)
+    alpha_star = float(vals[counts.argmax()])
+    return alpha_star, np.flatnonzero(np.abs(g.values - alpha_star) <= 1e-9)
 
 
 def step3_overlay(
-    f2: DensityFn, params: IntervalParams, plan: OverlayPlan, xi: DensityFn
+    f2: DensityFn, params: IntervalParams, t_classes: np.ndarray, xi: DensityFn,
+    rng: np.random.Generator,
 ) -> DensityFn:
-    """Replace f2 on each class P_t (t in T) by xi(a_t phi_t(x) + b_t).
+    """Draw an affine map (a_t, b_t) per class t in T and overwrite f2 on
+    each class P_t by xi(a_t phi_t(x) + b_t); returns f2.
 
     phi_t enumerates P_t = {x <= N' : x = t mod q} in increasing order with
     phi_t(x_i) = i mod p, so each class mean is exactly E[xi] = alpha*.
+    Every point of every P_t is written, so an earlier overlay of the same
+    tile leaves nothing behind.
     """
-    q, p = params.q, plan.n_classes
+    q, p = params.q, params.p
     if xi.n != p:
         raise DomainError(f"overlay profile lives on Z_{xi.n}, expected Z_{p}")
-    values = f2.values.copy()
+    a = rng.integers(1, p, size=len(t_classes))
+    b = rng.integers(0, p, size=len(t_classes))
     idx = np.arange(1, p + 1, dtype=np.int64) % p  # phi_t along the stride
-    for t in plan.t_classes:
-        values[(t - 1) % q : params.n_prime : q] = xi.values[(plan.a[t] * idx + plan.b[t]) % p]
-    return DensityFn(interval(params.n_total), values)
+    for t, a_t, b_t in zip(t_classes, a, b):
+        f2.values[(t - 1) % q : params.n_prime : q] = xi.values[(a_t * idx + b_t) % p]
+    return f2
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +284,11 @@ def construct_interval_fn(
     """Run the three steps, scan exhaustively, and retry on failure.
 
     Overlay randomness is retried first (cheap); the product seed rotates
-    only after the overlay budget is spent.  Raises RetriesExhausted carrying
-    the lowest failing scan verdict when every combination fails.
+    only after the overlay budget is spent.  Each product attempt tiles one
+    vector and builds alpha*, T and xi once; every overlay attempt redraws
+    only the affine maps and overwrites the classes of T on that vector.
+    Raises RetriesExhausted carrying the lowest failing scan verdict when
+    every combination fails.
     """
     alpha, eps = params.alpha, params.epsilon
     target = alpha**3 * (1 - eps)
@@ -314,11 +303,9 @@ def construct_interval_fn(
     product_used = 0
     for p_try in range(max_product_retries):
         product_used = p_try + 1
-        g_fn, g_cert = construct_product(
-            prod_params, seed=seed + 7919 * p_try, max_retries_per_level=10
-        )
+        g_fn, _ = construct_product(prod_params, seed=seed + 7919 * p_try, max_retries_per_level=10)
         f2 = step1_step2_tile(params, g_fn)
-        alpha_star = _common_value(g_fn)
+        alpha_star, t_classes = _common_classes(g_fn)
         x_set = low_ap_density_subset(params.p, min(alpha_star, ALPHA0))
         if alpha_star > x_set.density * (1 + 1e-12):
             # a subset asked for at alpha* <= ALPHA0 always reaches alpha*
@@ -326,15 +313,14 @@ def construct_interval_fn(
                 f"common value alpha*={alpha_star:.4g} exceeds alpha0={ALPHA0} and the "
                 f"density {x_set.density:.4g} of the overlay's low-AP subset; lower alpha"
             )
+        xi = scaled_indicator(x_set, alpha_star)
         for o_try in range(max_overlay_retries):
             overlay_used += 1
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, p_try, o_try]))
-            plan = make_overlay_plan(params, g_fn, rng)
-            xi = scaled_indicator(x_set, plan.alpha_star)
-            f3 = step3_overlay(f2, params, plan, xi)
-            if abs(f3.mean() - alpha) > 1e-9:
-                raise DomainError(f"overlay broke the mean: {f3.mean()} vs {alpha}")
-            verdict = scan_interval_fn(f3.values, target)
+            step3_overlay(f2, params, t_classes, xi, rng)
+            if abs(f2.mean() - alpha) > 1e-9:
+                raise DomainError(f"overlay broke the mean: {f2.mean()} vs {alpha}")
+            verdict = scan_interval_fn(f2.values, target)
             if best is None or verdict.max_offdiag < best.max_offdiag:
                 best = verdict
             if verdict.passed:
@@ -347,7 +333,7 @@ def construct_interval_fn(
                     p=params.p,
                     alpha=alpha,
                     epsilon=eps,
-                    alpha_star=plan.alpha_star,
+                    alpha_star=alpha_star,
                     overlay_retries=overlay_used,
                     product_retries=product_used,
                     worst_d=verdict.argmax_d,
@@ -355,8 +341,7 @@ def construct_interval_fn(
                     passed=verdict.passed,
                     notes=params.notes,
                 )
-                return f3, cert
-            f3 = None  # one candidate alive: drop this one before the next is built
+                return f2, cert
     raise RetriesExhausted(
         f"interval construction failed all {overlay_used} overlay x {product_used} product "
         f"attempts; best attempt has density {best.max_offdiag:.6g} at d={best.argmax_d} "

@@ -13,7 +13,7 @@ from popdiff.domains import OVER_WINDOW, DensityFn, Spectrum, interval, is_prime
 from popdiff.errors import DomainError, InfeasibleError, RegularityError, RetriesExhausted
 from popdiff.fourier import dft_values, idft
 from popdiff.modelfn import build_model_fn, model_support
-from popdiff.interval import IntervalParams, OverlayPlan, SampleCert
+from popdiff.interval import IntervalParams, SampleCert
 from popdiff.product import _ALPHA_PRIME_TOL, LevelState
 
 
@@ -373,26 +373,35 @@ def reference_step1_step2_tile(params: IntervalParams, g: DensityFn) -> DensityF
 
 
 def reference_step3_overlay(
-    f2: DensityFn, params: IntervalParams, plan: OverlayPlan, xi: DensityFn
+    f2: DensityFn,
+    params: IntervalParams,
+    t_classes: np.ndarray,
+    xi: DensityFn,
+    rng: np.random.Generator,
 ) -> DensityFn:
-    """Replace f2 on each class P_t (t in T) by xi(a_t phi_t(x) + b_t).
+    """Draw a_t then b_t for the classes t in T and replace f2 on each class
+    P_t by xi(a_t phi_t(x) + b_t), in a new vector.
 
     phi_t enumerates P_t = {x <= N' : x = t mod q} in increasing order with
     phi_t(x_i) = i mod p, so each class mean is exactly E[xi] = alpha*.
-    The reference for interval.step3_overlay: its earlier form, which builds
-    each class as an explicit index list.
+    The reference for interval.step3_overlay: its earlier form, which keeps
+    per-residue map arrays, copies f2 and builds each class as an explicit
+    index list.
     """
-    n, np_, q, p = params.n_total, params.n_prime, params.q, plan.n_classes
+    n, np_, q, p = params.n_total, params.n_prime, params.q, params.p
     if xi.n != p:
         raise DomainError(f"overlay profile lives on Z_{xi.n}, expected Z_{p}")
+    a = np.zeros(q, dtype=np.int64)
+    b = np.zeros(q, dtype=np.int64)
+    a[t_classes] = rng.integers(1, p, size=len(t_classes))
+    b[t_classes] = rng.integers(0, p, size=len(t_classes))
     values = f2.values.copy()
-    x = np.arange(1, n + 1, dtype=np.int64)
-    for t in plan.t_classes:
+    for t in t_classes:
         t = int(t)
         first = t if t >= 1 else q  # smallest x >= 1 with x = t (mod q)
         xs = np.arange(first, np_ + 1, q, dtype=np.int64)
         idx = np.arange(1, len(xs) + 1, dtype=np.int64) % p
-        values[xs - 1] = xi.values[(plan.a[t] * idx + plan.b[t]) % p]
+        values[xs - 1] = xi.values[(a[t] * idx + b[t]) % p]
     return DensityFn(interval(n), values)
 
 
@@ -508,7 +517,7 @@ def reference_sample_cert_to_dict(self) -> dict:
     }
 
 
-def reference_modulus_candidates(eps_prod, alpha, q_lo, q_hi, factors):
+def reference_modulus_candidates(eps_prod, q_lo, q_hi, factors):
     """Moduli q (with factorizations) admissible for the product side."""
     if factors is not None:
         fac = tuple(int(m) for m in factors)

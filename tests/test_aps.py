@@ -291,8 +291,8 @@ def test_verdict_slack_has_one_reader(monkeypatch):
     # every verdict reads aps.VERDICT_SLACK when it compares, so widening the
     # slack turns each of these failures into a pass
     prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
-    low = LowAPSubset(7, np.array([0]), 1 / 7, ap_density=0.05, bound=0.01,
-                      source_interval=1, block_width=0)
+    low = LowAPSubset(7, np.array([0]), 1 / 7, bound=0.01, source_interval=1, block_width=0)
+    low.ap_density = 0.05  # stands in for the count that ap_density caches
     boost = ProductParams(alpha=0.25, epsilon=8e-3, factors=(5,))  # mean cube 1.5625 alpha^3
 
     def verdicts():

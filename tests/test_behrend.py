@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from popdiff.apfree import apfree_set, brute_max_apfree, is_apfree, max_apfree_sizes
 from popdiff.behrend import (
     _apfree_sizes_up_to,
+    _block_subset,
     density_bound,
     low_ap_density_subset,
     scaled_indicator,
@@ -207,6 +208,13 @@ def test_block_construction_structure():
             mid = ((xx + zz) * inv2) % n
             if mid in elems:
                 assert blocks[xx] == blocks[zz] == blocks[mid]
+
+
+def test_block_subset_short_set_is_none():
+    # even the whole set falls short of alpha*n: one element times a block of
+    # width t = 400 // 40 = 10 is below 0.1 * 400
+    assert _block_subset(np.array([1]), 400, 10, 0.1) is None
+    assert len(_block_subset(np.array([1, 2, 4]), 400, 10, 0.05)) == 30  # three blocks
 
 
 def test_within_block_ap_count():

@@ -96,12 +96,24 @@ def exit_code(argv):
         ["construct", "--kind", "product", "--factors", f"5,{HUGE_PRIME}"],
         ["construct", "--kind", "behrend", "--n", str(10**30)],
         ["construct", "--kind", "behrend", "--n", str(BEHREND_MAX_N + 1)],
+        ["construct", "--kind", "interval", "--n", "5000", "--factors", "0"],
+        ["construct", "--kind", "interval", "--n", "5000", "--factors", "5,0"],
+        ["construct", "--kind", "product", "--factors", "0"],
+        ["construct", "--kind", "product", "--factors", "-5"],
+        ["construct", "--kind", "product", "--factors", "5", "--alpha", "2"],
+        ["construct", "--kind", "product", "--factors", "5", "--alpha", "1e300"],
+        ["construct", "--kind", "interval", "--n", "5000", "--alpha", "1e300"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.1", "--alpha", "2"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "0.1", "--alpha", "1e200"],
     ],
     ids=["product-no-factors", "product-retries-0", "interval-retries-0", "product-epsilon-0",
          "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan",
          "upper-rho0-inf", "upper-rho0-0", "verify-epsilon-nan", "verify-alpha-negative",
          "behrend-n-huge", "model-n-huge", "lowap-n-huge", "interval-n-huge",
-         "product-factors-huge", "behrend-n-beyond-numpy-dimension", "behrend-n-above-check-bound"],
+         "product-factors-huge", "behrend-n-beyond-numpy-dimension", "behrend-n-above-check-bound",
+         "interval-factors-0", "interval-factor-0-in-list", "product-factors-0",
+         "product-factors-negative", "product-alpha-above-1", "product-alpha-overflow",
+         "interval-alpha-overflow", "verify-alpha-above-1", "verify-alpha-overflow"],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # bad flag values exit 2 with an error line, never in a traceback with

@@ -1,7 +1,6 @@
 """Interval construction: parameter search, tiling, overlay, sampling."""
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -27,10 +26,10 @@ from popdiff.domains import OVER_WINDOW, DensityFn, cyclic, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft
 from popdiff.interval import (
+    _common_classes,
     _modulus_candidates,
     choose_interval_params,
     construct_interval_fn,
-    make_overlay_plan,
     sample_set,
     scan_interval_fn,
     seam_tail_fraction,
@@ -38,6 +37,12 @@ from popdiff.interval import (
     step3_overlay,
 )
 from popdiff.product import ProductParams, construct_product
+
+
+# bound on the traced peak of one overlay at desk_params(10**5) (q = 17,
+# p = 5387), in float vectors of length N: it measured 0.163, a few length-p
+# index vectors, while a copy of the tile alone would be 1.0
+OVERLAY_PEAK = 0.25
 
 
 def desk_params(n_total=20000, alpha=0.05, eps=1e-3, hard_tail=True):
@@ -73,7 +78,7 @@ def test_desk_choice_lands_near_n():
 @pytest.mark.parametrize("n_total", [10**5, 10**6, 10**7])
 def test_modulus_candidates_match_reference(n_total, eps):
     # the desk window [5, N^0.8]; the reference tests every odd q in it
-    args = (4 * eps, 0.05, 5, n_total**0.8, None)
+    args = (4 * eps, 5, n_total**0.8, None)
     assert _modulus_candidates(*args) == reference_modulus_candidates(*args)
 
 
@@ -135,31 +140,41 @@ def test_tile_boundary_range_bound():
         assert dens <= target + 1e-12
 
 
+class IdentityMaps:
+    """An rng stand-in whose draws are a_t = 1 and b_t = 0 for every class."""
+
+    def integers(self, lo, hi, size):
+        return np.full(size, lo)
+
+
 def test_overlay_identity_off_t_and_verbatim():
     p = desk_params()
     g = build_g(p)
     f2 = step1_step2_tile(p, g)
-    rng = np.random.default_rng(2)
-    plan = make_overlay_plan(p, g, rng)
-    x_set = low_ap_density_subset(p.p, min(plan.alpha_star, 0.1))
-    xi = scaled_indicator(x_set, plan.alpha_star)
-    f3 = step3_overlay(f2, p, plan, xi)
-    tset = set(plan.t_classes.tolist())
+    tile = f2.values.copy()
+    alpha_star, t_classes = _common_classes(g)
+    x_set = low_ap_density_subset(p.p, min(alpha_star, 0.1))
+    xi = scaled_indicator(x_set, alpha_star)
+    f3 = step3_overlay(f2, p, t_classes, xi, np.random.default_rng(2))
+    assert f3 is f2  # written into the tile
+    tset = set(t_classes.tolist())
     xs = np.arange(1, p.n_total + 1)
     off = ~np.isin(xs % p.q, list(tset)) | (xs > p.n_prime)
-    assert np.array_equal(f3.values[off], f2.values[off])
+    assert np.array_equal(f3.values[off], tile[off])
     # per-class means are exactly alpha*
     for t in list(tset)[:5]:
         cls = (xs % p.q == t) & (xs <= p.n_prime)
-        assert abs(f3.values[cls].mean() - plan.alpha_star) < 1e-12
+        assert abs(f3.values[cls].mean() - alpha_star) < 1e-12
     assert abs(f3.mean() - p.alpha) < 1e-9
-    # an identity map ((a,b)=(1,0)) lays xi down verbatim along the class
-    t0 = int(plan.t_classes[0])
-    plan.a[t0], plan.b[t0] = 1, 0
-    f3b = step3_overlay(f2, p, plan, xi)
+    # identity maps ((a,b)=(1,0)) lay xi down verbatim along each class, and
+    # an overlay of an overlaid tile equals that of a fresh one
+    step3_overlay(f2, p, t_classes, xi, IdentityMaps())
+    t0 = int(t_classes[0])
     cls_x = np.flatnonzero((xs % p.q == t0) & (xs <= p.n_prime)) + 1
     idx = np.arange(1, len(cls_x) + 1) % p.p
-    assert np.array_equal(f3b.values[cls_x - 1], xi.values[idx])
+    assert np.array_equal(f2.values[cls_x - 1], xi.values[idx])
+    fresh = step3_overlay(step1_step2_tile(p, g), p, t_classes, xi, IdentityMaps())
+    assert f2.values.tobytes() == fresh.values.tobytes()
 
 
 def test_overlay_fiber_density_law():
@@ -328,62 +343,86 @@ def _sample_outcomes(sampler, f, seed):
 @pytest.mark.parametrize("n_total", [1000, 20000, 54321, 10**5, 10**6])
 def test_steps_match_reference(n_total, q):
     # the strided tile, overlay and sampler reproduce their index-array
-    # references bit for bit.  The overlay lays down a random profile on Z_p
-    # of mean about alpha* (any xi exercises the same strides); sampling at
-    # 10^6 thins f to |A| ~ 10^3 so that the exhaustive profile stays on the
-    # pair backend.
+    # references bit for bit, each overlay written over the previous one.
+    # The overlay lays down a random profile on Z_p of mean about alpha* (any
+    # xi exercises the same strides); sampling at 10^6 thins f to |A| ~ 10^3
+    # so that the exhaustive profile stays on the pair backend.
     p = choose_interval_params(n_total, 0.05, 1e-3, mode="desk", factors=(q,))
     g = build_g(p)
     f2 = step1_step2_tile(p, g)
     assert f2.values.tobytes() == reference_step1_step2_tile(p, g).values.tobytes()
     thin = 0.02 if n_total > 10**5 else 1.0
+    alpha_star, t_classes = _common_classes(g)
     for seed in range(3):
-        rng = np.random.default_rng(seed)
-        plan = make_overlay_plan(p, g, rng)
-        xi = DensityFn(cyclic(p.p), 2 * plan.alpha_star * rng.random(p.p))
-        f3 = step3_overlay(f2, p, plan, xi)
-        assert f3.values.tobytes() == reference_step3_overlay(f2, p, plan, xi).values.tobytes()
+        xi = DensityFn(cyclic(p.p), 2 * alpha_star * np.random.default_rng(seed).random(p.p))
+        want = reference_step3_overlay(f2, p, t_classes, xi, np.random.default_rng([seed, 1]))
+        f3 = step3_overlay(f2, p, t_classes, xi, np.random.default_rng([seed, 1]))
+        assert f3.values.tobytes() == want.values.tobytes()
         f = DensityFn(interval(n_total), thin * f3.values)
         assert _sample_outcomes(sample_set, f, seed) == _sample_outcomes(reference_sample_set, f, seed)
 
 
 def test_interval_working_set():
-    # traced peaks in float vectors of length N: the output vector is one of
-    # them (DensityFn keeps it, uncopied), and the overlay adds O(p) per
-    # class.  A clipped copy, an index x or its gather would each add one more.
+    # traced peaks in float vectors of length N: the tile is one of them
+    # (DensityFn keeps it, uncopied), and the overlay writes into it, adding
+    # O(p) per class.  A copy of the tile, an index x or its gather would
+    # each add one more.
     p = desk_params(n_total=10**5)
     g = build_g(p)
-    plan = make_overlay_plan(p, g, np.random.default_rng(0))
-    xi = scaled_indicator(low_ap_density_subset(p.p, plan.alpha_star), plan.alpha_star)
+    alpha_star, t_classes = _common_classes(g)
+    xi = scaled_indicator(low_ap_density_subset(p.p, alpha_star), alpha_star)
+    rng = np.random.default_rng(0)
     peaks = []
-    for step in (lambda: step1_step2_tile(p, g), lambda: step3_overlay(f2, p, plan, xi)):
+    for step in (lambda: step1_step2_tile(p, g), lambda: step3_overlay(f2, p, t_classes, xi, rng)):
         tracemalloc.start()
         try:
             f2 = step()
             peaks.append(tracemalloc.get_traced_memory()[1] / (8 * p.n_total))
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 1.25 and peaks[1] <= 1.3, peaks
+    assert peaks[0] <= 1.25 and peaks[1] <= OVERLAY_PEAK, peaks
 
 
-def test_interval_keeps_one_candidate(monkeypatch):
-    # each failed overlay is dropped before the next one is built
+def test_overlay_writes_into_the_tile(monkeypatch):
+    # every candidate a product attempt scans is that attempt's tile,
+    # overwritten in place, so no overlay attempt allocates a length-N vector
     from popdiff import interval as mod
 
-    real = mod.step3_overlay
-    built = []
+    tiles, scanned = [], []
+    real_tile, real_scan = mod.step1_step2_tile, mod.scan_interval_fn
 
-    def tracked(*args, **kwargs):
-        assert all(ref() is None for ref in built)
-        f3 = real(*args, **kwargs)
-        built.append(weakref.ref(f3))
-        return f3
+    def tile(*args):
+        tiles.append(real_tile(*args))
+        return tiles[-1]
 
-    monkeypatch.setattr(mod, "step3_overlay", tracked)
+    def scan(values, target):
+        scanned.append((len(tiles), np.shares_memory(values, tiles[-1].values)))
+        return real_scan(values, target)
+
+    monkeypatch.setattr(mod, "step1_step2_tile", tile)
+    monkeypatch.setattr(mod, "scan_interval_fn", scan)
     with pytest.raises(RetriesExhausted):
         construct_interval_fn(desk_params(n_total=6000, hard_tail=False), seed=11,
-                              max_overlay_retries=3, max_product_retries=1)
-    assert len(built) == 3
+                              max_overlay_retries=3, max_product_retries=2)
+    assert scanned == [(1, True)] * 3 + [(2, True)] * 3
+
+
+def test_failing_construction_counts_no_subset_aps(monkeypatch):
+    # the overlay reads only the low-AP subset's elements and density, so the
+    # subset's 3-AP count is never taken
+    from popdiff import behrend
+
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return ap_sums(*args, **kwargs)
+
+    monkeypatch.setattr(behrend, "ap_sums", recorder)
+    with pytest.raises(RetriesExhausted):
+        construct_interval_fn(desk_params(n_total=6000, hard_tail=False), seed=11,
+                              max_overlay_retries=2, max_product_retries=1)
+    assert calls == []
 
 
 def test_construct_interval_failure_golden():
