@@ -8,7 +8,8 @@ Two generators are combined:
   of a depth-first search.  Growth needs a set that holds both endpoints 1
   and N, so sizes come from one such search per N without any witness, and
   the witness, the lexicographically first maximum AP-free subset of [N],
-  is searched for only on demand, below the witness of [N-1];
+  is the smaller of the witness of [N-1] and the first maximum set that
+  holds 1 and N when the size does not grow;
 * above that, the ternary set 1 + {0 <= x < N : no base-3 digit of x is 2}
   in closed form.  It is AP-free because x + z = 2y among digit-0/1 numbers
   adds digits without carries, which forces x = y = z.  It is the set the
@@ -59,34 +60,29 @@ def is_apfree(elements) -> bool:
     return not any((fwd >> (y - lo)) & (rev >> (hi - y)) > 1 for y in vals)
 
 
-def _search(n: int, r: tuple, m: int, bound: tuple | None = None) -> tuple | None:
+def _search(n: int, r: tuple, m: int) -> tuple | None:
     """The lexicographically first AP-free subset of [n] of size m that holds
-    both 1 and n, or None; with ``bound``, a size-m set that starts at 1,
-    only the sets lexicographically below it.  r[k] = r(k) for k < n.
+    both 1 and n, or None.  r[k] = r(k) for k < n.
 
     A depth-first search over the next element z in increasing order, so the
     first set found is the lexicographically first.  Choosing n up front
     forbids each midpoint (x + n)/2 of a chosen x; choosing z forbids every
     2z - x over chosen x, one shift of the reflected mask (bit n - x per
     chosen x) by 2z - n.  The candidates at a depth are the free bits of
-    [start, hi], taken lowest first.  A branch whose next element is z is cut
-    when len(chosen) + r(n - z + 1) < m, because the rest, n among them, is a
-    translate of an AP-free subset of [n - z + 1]; r is nondecreasing, so the
-    cut holds for every later z too.  While the chosen prefix equals the
-    bound's, the next element is at most the bound's next one, and a prefix
-    that stays equal to the bound's to the end loses: its set ends in n,
-    above the bound's last element.
+    [start, n - 1], taken lowest first.  A branch whose next element is z is
+    cut when len(chosen) + r(n - z + 1) < m, because the rest, n among them,
+    is a translate of an AP-free subset of [n - z + 1]; r is nondecreasing,
+    so the cut holds for every later z too.
     """
     if n == 1:
         return (1,)
     chosen = [1]
 
-    def rec(start: int, forb: int, rev: int, tight: bool) -> bool:
+    def rec(start: int, forb: int, rev: int) -> bool:
         k = len(chosen)
         if k == m - 1:
-            return not tight
-        hi = bound[k] if tight else n - 1
-        free = ~forb & ((2 << hi) - (1 << start))
+            return True
+        free = ~forb & ((1 << n) - (1 << start))
         while free:
             low = free & -free
             free ^= low
@@ -98,13 +94,13 @@ def _search(n: int, r: tuple, m: int, bound: tuple | None = None) -> tuple | Non
             if not (z + n) & 1:
                 grown |= 1 << ((z + n) >> 1)
             chosen.append(z)
-            if rec(z + 1, grown, rev | 1 << (n - z), tight and z == hi):
+            if rec(z + 1, grown, rev | 1 << (n - z)):
                 return True
             chosen.pop()
         return False
 
     midpoint = 0 if n & 1 == 0 else 1 << ((1 + n) >> 1)
-    if rec(2, midpoint, 1 << (n - 1), bound is not None):
+    if rec(2, midpoint, 1 << (n - 1)):
         return (*chosen, n)
     return None
 
@@ -147,19 +143,19 @@ def brute_max_apfree(n: int) -> tuple[int, tuple]:
     lexicographically first maximum set as witness; n <= 40.
 
     When r(n) = r(n-1) + 1 the growth test's set is the witness.  Otherwise
-    the witness W(n-1) of [n-1] is a maximum set of [n], and a maximum set
-    below it lexicographically holds n, since one inside [n-1] is at or
-    above W(n-1).  Such a set also holds 1, as a set without 1 starts above
-    W(n-1)'s first element 1.  So only sets that hold 1 and n and lie below
-    W(n-1) are searched, and W(n-1) is the witness when there is none.
+    a maximum set of [n] either lies inside [n-1] or holds n.  The first one
+    inside [n-1] is W(n-1), the witness of [n-1].  One that holds n and comes
+    before W(n-1) also holds 1, because a set without 1 starts above W(n-1)'s
+    first element, which is 1.  So the witness is the smaller of W(n-1) and
+    the first maximum set that holds 1 and n, or W(n-1) when there is none.
     """
     _check_cap(n, 1)
     found = _grown(n)
     if found is not None:
         return len(found), found
     size, prev = brute_max_apfree(n - 1)
-    below = _search(n, max_apfree_sizes(n - 1), size, prev)
-    return size, below if below is not None else prev
+    both = _search(n, max_apfree_sizes(n - 1), size)
+    return size, prev if both is None else min(prev, both)
 
 
 def _ternary_set(n: int) -> list:

@@ -223,15 +223,13 @@ def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto
     """
     n = f.n
     if f.domain.is_group:
+        spec = dft(f)
         if path == "auto":
-            spec = dft(f)
             small = len(spec.support) <= _SPARSE_LIMIT(n)
             bounded = small and sparse_error_bound(f.values, spec) <= SPARSE_TOL
             path = "sparse" if bounded else "dense"
-        else:
-            spec = None
         if path == "sparse":
-            dens = perdiff_table_sparse(spec if spec is not None else dft(f))
+            dens = perdiff_table_sparse(spec)
         elif path == "dense":
             dens = ap_sums(f.values) / n
         else:

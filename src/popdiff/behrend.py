@@ -69,16 +69,15 @@ def density_bound(alpha: float) -> float:
 
 
 def _apfree_sizes_up_to(cap: int) -> np.ndarray:
-    """sizes[N] = size of apfree_set's output for each N <= cap; the exact
-    sizes up to BRUTE_CAP come without their witnesses."""
+    """sizes[N] = size of apfree_set's output for each N <= cap, cap >
+    BRUTE_CAP (low_ap_density_subset's cap is at least 64); the exact sizes
+    up to BRUTE_CAP come without their witnesses."""
     sizes = np.zeros(cap + 1, dtype=np.int64)
-    small = min(BRUTE_CAP, cap)
-    sizes[: small + 1] = max_apfree_sizes(small)
-    if cap > BRUTE_CAP:
-        # the ternary sets for N <= cap are prefixes of the one for cap
-        member = np.zeros(cap + 1, dtype=np.int64)
-        member[np.asarray(apfree_set(cap))] = 1
-        sizes[BRUTE_CAP + 1 :] = np.cumsum(member)[BRUTE_CAP + 1 :]
+    sizes[: BRUTE_CAP + 1] = max_apfree_sizes(BRUTE_CAP)
+    # the ternary sets for N <= cap are prefixes of the one for cap
+    member = np.zeros(cap + 1, dtype=np.int64)
+    member[np.asarray(apfree_set(cap))] = 1
+    sizes[BRUTE_CAP + 1 :] = np.cumsum(member)[BRUTE_CAP + 1 :]
     return sizes
 
 
@@ -98,10 +97,8 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
         raise DomainError(f"alpha={alpha} out of range (need 0 < alpha <= 0.1)")
     cap = min(max(64, 4 * n), _INTERVAL_CAP)
     sizes = _apfree_sizes_up_to(cap)
-    target = 6 * alpha
-    candidates = [m for m in range(1, cap + 1) if sizes[m] >= target * m]
-    if not candidates:
-        raise InfeasibleError(f"no interval bound reaches density {target}")
+    # alpha <= 0.1 gives 6*alpha < 1 = r(1), so N = 1 is always a candidate
+    candidates = [m for m in range(1, cap + 1) if sizes[m] >= 6 * alpha * m]
     bound = max(1.0 / n, density_bound(alpha))
 
     for n_a in sorted(candidates, reverse=True):
@@ -117,31 +114,25 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
                 density=len(elems) / n,
                 bound=bound,
                 source_interval=n_a,
-                block_width=0 if n <= 4 * n_a else max(1, n // (4 * n_a)),
+                block_width=0 if n <= 4 * n_a else n // (4 * n_a),
             )
     raise InfeasibleError(f"no admissible interval bound yields density {alpha} in Z_{n}")
 
 
 def _windowed_subset(a_set: np.ndarray, n: int):
-    """Densest piece of the set inside a window of length ceil(n/2)."""
-    if len(a_set) == 0:
-        return None
+    """Densest piece of the set inside a window of length ceil(n/2).  Every
+    apfree_set holds 1, so the first window, and so the densest, is never
+    empty."""
     width = -(-n // 2)  # ceil
-    best_piece = None
-    for lo in range(1, int(a_set.max()) + 1, width):
-        piece = a_set[(a_set >= lo) & (a_set < lo + width)]
-        if best_piece is None or len(piece) > len(best_piece):
-            best_piece = piece
-    if best_piece is None or len(best_piece) == 0:
-        return None
+    starts = range(1, int(a_set.max()) + 1, width)
+    best_piece = max((a_set[(a_set >= lo) & (a_set < lo + width)] for lo in starts), key=len)
     return (best_piece - best_piece.min()) % n
 
 
 def _block_subset(a_set: np.ndarray, n: int, n_a: int, alpha: float):
-    """Union of blocks of width t = floor(n/4N) indexed by the doubled set."""
+    """Union of blocks of width t = floor(n/4N) indexed by the doubled set;
+    called only for n > 4N, so t >= 1."""
     t = n // (4 * n_a)
-    if t < 1:
-        return None
     need = int(np.ceil(6 * alpha * n_a))
     # the range ends at len(a_set), so a set that never reaches alpha*n falls short whole
     for size in range(min(need, len(a_set)), len(a_set) + 1):

@@ -225,7 +225,8 @@ def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int | None:
     for v in seq:
         if not alpha**3 - 1e-9 <= v <= 1 + 1e-9:
             raise DomainError(f"sequence value {v} outside [alpha^3, 1]")
-    horizon = max(1, math.ceil(2 * math.log2(2 / epsilon)))
+    horizon = 2 * math.log2(2 / epsilon)  # an infinite 2/eps sets no horizon
+    horizon = max(1, math.ceil(horizon)) if horizon < math.inf else horizon
     for i in range(1, len(seq)):
         if 2 * seq[i - 1] - seq[i] >= alpha**3 - epsilon / 2:
             return i
@@ -361,10 +362,14 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
 
 
 def strict_schedule(epsilon: float):
-    """rho_1 = eps^10, rho_i = exp(-rho_{i-1}^-5); underflows to 0 harmlessly."""
+    """rho_1 = eps^10, rho_i = exp(-rho_{i-1}^-5); underflows to 0 harmlessly,
+    and an eps^10 past the float range is +inf, which the search caps."""
 
     def rho(i: int) -> float:
-        r = epsilon**10
+        try:
+            r = epsilon**10
+        except OverflowError:
+            r = math.inf
         for _ in range(i - 1):
             try:
                 r = math.exp(-min(r**-5, 1e308)) if r > 0 else 0.0
@@ -458,7 +463,10 @@ def upper_search(
 
     rho_c, b_c = bohrs[chosen - 1]
     if nu is None:
-        nu = 1e-5 * epsilon * rho_c**2
+        try:
+            nu = 1e-5 * epsilon * rho_c**2
+        except OverflowError:  # +inf, as a float product would give; capped below
+            nu = math.inf
     _, b_final = find_regular_scale(dilate(b_c, min(nu / 2, 1.0)))
     if b_final.size <= 1:
         raise DegenerateBohrError(f"Bohr set collapsed to the origin at level {chosen}")

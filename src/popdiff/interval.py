@@ -87,10 +87,12 @@ def choose_interval_params(
         raise DomainError(f"unknown mode {mode!r}")
     notes = []
     if mode == "strict":
-        if n_total < epsilon**-15:
-            raise InfeasibleError(
-                f"N={n_total} violates N >= epsilon^-15 = {epsilon**-15:.6g}"
-            )
+        try:
+            n_min = epsilon**-15
+        except OverflowError:  # past the float range: no N is large enough
+            n_min = math.inf
+        if n_total < n_min:
+            raise InfeasibleError(f"N={n_total} violates N >= epsilon^-15 = {n_min:.6g}")
         if epsilon > alpha**7:
             raise InfeasibleError(f"epsilon={epsilon} violates epsilon <= alpha^7 = {alpha**7:.3g}")
         if alpha > ALPHA0:
@@ -98,12 +100,14 @@ def choose_interval_params(
         beta_cap = epsilon**2
         q_lo = n_total**0.2
         q_hi = math.sqrt(beta_cap * alpha**3 * (1 - epsilon) * n_total)
-        if q_hi <= q_lo:
-            raise InfeasibleError(
-                f"modulus window (N^0.2, sqrt(beta alpha^3 (1-eps) N)) = "
-                f"({q_lo:.4g}, {q_hi:.4g}) is empty"
-            )
+        # the checks above give q_hi/q_lo >= eps^-3.28 (1-eps)^(1/2) > 1e22, so
+        # the window is never empty (the "no admissible modulus" error names it)
     else:
+        if epsilon >= 1:
+            raise InfeasibleError(
+                f"epsilon={epsilon} leaves the non-positive target "
+                f"alpha^3 (1-eps) = {alpha**3 * (1 - epsilon):.6g}"
+            )
         if n_total < 1000:
             raise InfeasibleError(f"N={n_total} below the desk minimum 1000")
         q_lo = 5

@@ -160,7 +160,8 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
         rep.add(f"m{i}-growth-upper", m < upper, f"m{i}={m} vs exp(...)/2={upper:.6g}")
         n_prev *= m
 
-    s_max = math.log(eps**-0.25 * a**6 / 8, 150) if eps > 0 else math.inf
+    # eps > 0 here: any eps <= 0 has already raised at the m1 window's eps ** (-1 / 3)
+    s_max = math.log(eps**-0.25 * a**6 / 8, 150)
     rep.add("level-count", s <= s_max, f"s={s} vs log150(eps^-1/4 alpha^6 / 8)={s_max:.4g}")
     return rep
 

@@ -364,6 +364,8 @@ def test_upper_search_strict_schedule_smoke():
     sched = strict_schedule(0.5)
     rhos = [sched(i) for i in (1, 2, 3)]
     assert all(np.isfinite(r) for r in rhos) and rhos[0] > 0
+    # rho_1 = 1e-70, so rho_1^-5 leaves the float range and rho_2 underflows
+    assert strict_schedule(1e-7)(2) == 0.0
     m = build_model_fn(0.25, 101)
     with pytest.raises(DegenerateBohrError):
         upper_search(m.fn, 0.5, schedule=sched)
@@ -380,6 +382,8 @@ def test_upper_search_interval_mode():
     )
     assert 0 < tr.d < 1009 / 2
     assert tr.small_d_bound is not None
+    out = tr.to_dict()
+    assert out["interval_mode"] is True and out["small_d_bound"] == tr.small_d_bound
 
 
 def test_small_coefficient_bound():

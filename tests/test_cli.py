@@ -509,6 +509,29 @@ def test_upper_regularity_failure_exit_6(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "t.trace.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["upper", "--schedule", "strict", "--epsilon", "1e31"], 0),  # eps^10 overflows
+        (["upper", "--schedule", "strict", "--epsilon", "1e40"], 0),
+        (["upper", "--epsilon", "0.05", "--rho0", "1e160"], 0),  # rho^2 overflows
+        (["upper", "--epsilon", "1e-320"], 5),  # 2/eps overflows: no horizon
+        (["upper", "--schedule", "strict", "--epsilon", "1e-320"], 5),
+        (["construct", "--kind", "interval", "--n", "20000", "--epsilon", "1e200"], 4),
+        (["construct", "--kind", "interval", "--mode", "strict", "--n", "20000",
+          "--epsilon", "1e-30"], 4),  # eps^-15 overflows
+    ],
+)
+def test_float_edge_flags_end_without_traceback(tmp_path, capsys, argv, code):
+    if argv[0] == "upper":
+        main(["construct", "--kind", "model", "--alpha", "0.25", "--n", "101",
+              "--out", str(tmp_path / "g"), "--seed", "0"])
+        argv = argv + ["--in", str(tmp_path / "g.fn.json")]
+    assert main(argv + ["--out", str(tmp_path / "t"), "--seed", "42"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else err == ""
+
+
 def test_upper_degenerate_exit(tmp_path):
     out = tmp_path / "g"
     main(["construct", "--kind", "model", "--alpha", "0.25", "--n", "101",

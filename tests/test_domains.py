@@ -64,6 +64,12 @@ def test_function_file_roundtrip(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["domain"] == {"kind": "cyclic", "n": 101}
     assert raw["model"] == {"alpha": 0.25, "n": 101}
+    # a product domain writes its factors and reads back to the same DomainDesc
+    g = DensityFn(product((3, 5)), np.linspace(0, 1, 15))
+    save_fn(g, path)
+    assert json.loads(path.read_text())["domain"] == {"kind": "product", "n": 15, "factors": [3, 5]}
+    back = load_fn(path)
+    assert back.domain == g.domain and np.array_equal(back.values, g.values)
 
 
 def test_set_artifact_loads_as_indicator(tmp_path):

@@ -63,6 +63,14 @@ def test_strict_mode_names_bounds():
         choose_interval_params(10**4, 0.1, 1e-2, mode="strict")
     with pytest.raises(InfeasibleError, match="alpha\\^7"):
         choose_interval_params(10**31, 0.1, 1e-2, mode="strict")
+    with pytest.raises(InfeasibleError, match="epsilon\\^-15 = inf"):
+        choose_interval_params(10**31, 0.1, 1e-30, mode="strict")
+    with pytest.raises(InfeasibleError, match="alpha=0.2 exceeds alpha0=0.1"):
+        choose_interval_params(10**76, 0.2, 1e-5, mode="strict")
+    # every hypothesis holds, but no q in the window meets (3q-1)/(q-1)^3 >= 4 eps
+    window = r"\(1.585e\+21, 3.162e\+44\)"
+    with pytest.raises(InfeasibleError, match="no admissible modulus q in " + window):
+        choose_interval_params(10**106, 0.1, 1e-7, mode="strict")
 
 
 def test_desk_choice_lands_near_n():
