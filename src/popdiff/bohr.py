@@ -225,8 +225,7 @@ def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int | None:
     for v in seq:
         if not alpha**3 - 1e-9 <= v <= 1 + 1e-9:
             raise DomainError(f"sequence value {v} outside [alpha^3, 1]")
-    horizon = 2 * math.log2(2 / epsilon)  # an infinite 2/eps sets no horizon
-    horizon = max(1, math.ceil(horizon)) if horizon < math.inf else horizon
+    horizon = max(1, math.ceil(2 * (1 - math.log2(epsilon))))  # 2/eps may overflow
     for i in range(1, len(seq)):
         if 2 * seq[i - 1] - seq[i] >= alpha**3 - epsilon / 2:
             return i
@@ -362,14 +361,13 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
 
 
 def strict_schedule(epsilon: float):
-    """rho_1 = eps^10, rho_i = exp(-rho_{i-1}^-5); underflows to 0 harmlessly,
-    and an eps^10 past the float range is +inf, which the search caps."""
+    """rho_1 = eps^10, rho_i = exp(-rho_{i-1}^-5); underflows to 0 harmlessly.
+    A radius rho_1 < 1 needs eps < 1 (eps^10 overflows from eps ~ 1e31)."""
+    if not 0 < epsilon < 1:
+        raise DomainError(f"the strict schedule needs epsilon in (0, 1), got {epsilon}")
 
     def rho(i: int) -> float:
-        try:
-            r = epsilon**10
-        except OverflowError:
-            r = math.inf
+        r = epsilon**10
         for _ in range(i - 1):
             try:
                 r = math.exp(-min(r**-5, 1e308)) if r > 0 else 0.0

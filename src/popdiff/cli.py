@@ -240,6 +240,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    # eps >= 1 leaves alpha^3 (1 - eps) <= 0 and alpha^3 - eps < 0: no target
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def _mean(text: str) -> float:
     # the mean of a [0, 1]-valued function
     value = float(text)
@@ -268,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=("model", "behrend", "lowap", "product", "interval"), required=True)
     p.add_argument("--alpha", type=_mean, default=0.25)
-    p.add_argument("--epsilon", type=_positive, default=1e-3)
+    p.add_argument("--epsilon", type=_tolerance, default=1e-3)
     p.add_argument("--n", type=int, default=101, help="modulus / interval length")
     p.add_argument("--factors", type=_factors, default=())
     p.add_argument("--retries", type=_at_least_1, default=10)
@@ -287,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive per-difference bound check")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bound", choices=("rel", "abs"), default="rel")
-    p.add_argument("--epsilon", type=_positive, required=True)
+    p.add_argument("--epsilon", type=_tolerance, required=True)
     p.add_argument("--alpha", type=_mean, default=None)
     p.set_defaults(func=cmd_verify)
     return ap

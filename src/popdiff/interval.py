@@ -103,11 +103,6 @@ def choose_interval_params(
         # the checks above give q_hi/q_lo >= eps^-3.28 (1-eps)^(1/2) > 1e22, so
         # the window is never empty (the "no admissible modulus" error names it)
     else:
-        if epsilon >= 1:
-            raise InfeasibleError(
-                f"epsilon={epsilon} leaves the non-positive target "
-                f"alpha^3 (1-eps) = {alpha**3 * (1 - epsilon):.6g}"
-            )
         if n_total < 1000:
             raise InfeasibleError(f"N={n_total} below the desk minimum 1000")
         q_lo = 5

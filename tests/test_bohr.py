@@ -280,6 +280,12 @@ def test_pick_increment_index():
     # at eps >= 2, 2 log2(2/eps) <= 0, but an index needs a second term
     assert pick_increment_index([a3], alpha, 2.0) is None
     assert pick_increment_index([a3], alpha, 3.0) is None
+    # 2/eps overflows at eps = 1e-320, but the horizon stays finite (2129): a
+    # run inside the 1e-9 slack below alpha^3 never qualifies and then fails
+    low = [a3 - 5e-10] * 2200
+    assert pick_increment_index(low[:2129], alpha, 1e-320) is None
+    with pytest.raises(RegularityError):
+        pick_increment_index(low, alpha, 1e-320)
 
 
 def test_suite_trivial_constant():

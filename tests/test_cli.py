@@ -105,6 +105,11 @@ def exit_code(argv):
         ["construct", "--kind", "interval", "--n", "5000", "--alpha", "1e300"],
         ["verify", "--in", "g.fn.json", "--epsilon", "0.1", "--alpha", "2"],
         ["verify", "--in", "g.fn.json", "--epsilon", "0.1", "--alpha", "1e200"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "1e31", "--schedule", "strict"],
+        ["upper", "--in", "g.fn.json", "--epsilon", "1", "--schedule", "strict"],
+        ["construct", "--kind", "interval", "--n", "20000", "--epsilon", "1e200"],
+        ["construct", "--kind", "product", "--factors", "5", "--epsilon", "1"],
+        ["verify", "--in", "g.fn.json", "--epsilon", "1"],
     ],
     ids=["product-no-factors", "product-retries-0", "interval-retries-0", "product-epsilon-0",
          "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan",
@@ -113,7 +118,9 @@ def exit_code(argv):
          "product-factors-huge", "behrend-n-beyond-numpy-dimension", "behrend-n-above-check-bound",
          "interval-factors-0", "interval-factor-0-in-list", "product-factors-0",
          "product-factors-negative", "product-alpha-above-1", "product-alpha-overflow",
-         "interval-alpha-overflow", "verify-alpha-above-1", "verify-alpha-overflow"],
+         "interval-alpha-overflow", "verify-alpha-above-1", "verify-alpha-overflow",
+         "upper-strict-epsilon-overflow", "upper-strict-epsilon-1", "interval-epsilon-overflow", "product-epsilon-1",
+         "verify-epsilon-1"],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # bad flag values exit 2 with an error line, never in a traceback with
@@ -512,12 +519,9 @@ def test_upper_regularity_failure_exit_6(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["upper", "--schedule", "strict", "--epsilon", "1e31"], 0),  # eps^10 overflows
-        (["upper", "--schedule", "strict", "--epsilon", "1e40"], 0),
         (["upper", "--epsilon", "0.05", "--rho0", "1e160"], 0),  # rho^2 overflows
-        (["upper", "--epsilon", "1e-320"], 5),  # 2/eps overflows: no horizon
+        (["upper", "--epsilon", "1e-320"], 5),  # 2/eps overflows
         (["upper", "--schedule", "strict", "--epsilon", "1e-320"], 5),
-        (["construct", "--kind", "interval", "--n", "20000", "--epsilon", "1e200"], 4),
         (["construct", "--kind", "interval", "--mode", "strict", "--n", "20000",
           "--epsilon", "1e-30"], 4),  # eps^-15 overflows
     ],
@@ -530,6 +534,12 @@ def test_float_edge_flags_end_without_traceback(tmp_path, capsys, argv, code):
     assert main(argv + ["--out", str(tmp_path / "t"), "--seed", "42"]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") if code else err == ""
+    if code == 0:  # the trace is standard JSON: no Infinity or NaN in it
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        json.loads((tmp_path / "t.trace.json").read_text(), parse_constant=reject)
 
 
 def test_upper_degenerate_exit(tmp_path):
