@@ -370,7 +370,7 @@ def strict_schedule(epsilon: float):
         r = epsilon**10
         for _ in range(i - 1):
             try:
-                r = math.exp(-min(r**-5, 1e308)) if r > 0 else 0.0
+                r = math.exp(-(r**-5)) if r > 0 else 0.0
             except OverflowError:
                 r = 0.0
         return r

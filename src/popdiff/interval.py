@@ -121,7 +121,7 @@ def choose_interval_params(
         beta_cap = max(beta_cap, beta_floor * 1.5 + 0.01)
 
     eps_prod = 4 * epsilon
-    candidates = _modulus_candidates(eps_prod, q_lo, q_hi, factors)
+    candidates = _modulus_candidates(eps_prod, q_lo, q_hi, factors, strict=mode == "strict")
     if not candidates:
         raise InfeasibleError(
             f"no admissible modulus q in ({q_lo:.4g}, {q_hi:.4g}) for the product side"
@@ -158,15 +158,19 @@ def choose_interval_params(
     )
 
 
-def _modulus_candidates(eps_prod, q_lo, q_hi, factors):
-    """Moduli q (with factorizations) admissible for the product side."""
+def _modulus_candidates(eps_prod, q_lo, q_hi, factors, strict=False):
+    """Moduli q (with factorizations) admissible for the product side.  A
+    ``factors`` product is the one candidate: desk mode takes it as given,
+    strict mode only inside the window a scanned q must lie in."""
+    q_first = max(5, int(q_lo) | 1)
     if factors is not None:
         fac = tuple(int(m) for m in factors)
-        return [(math.prod(fac), fac)]
+        q = math.prod(fac)
+        return [(q, fac)] if not strict or q_first <= q <= q_hi else []
     # single-factor moduli: the base profile needs (3q-1)/(q-1)^3 >= eps_prod,
     # which falls as q grows, so the first q that fails it ends the scan
     out = []
-    q = max(5, int(q_lo) | 1)
+    q = q_first
     while q <= q_hi and (3 * q - 1) / (q - 1) ** 3 >= eps_prod:
         if is_prime(q):
             out.append((q, (q,)))

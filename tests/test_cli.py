@@ -110,6 +110,9 @@ def exit_code(argv):
         ["construct", "--kind", "interval", "--n", "20000", "--epsilon", "1e200"],
         ["construct", "--kind", "product", "--factors", "5", "--epsilon", "1"],
         ["verify", "--in", "g.fn.json", "--epsilon", "1"],
+        ["construct", "--kind", "behrend", "--n", "0"],
+        ["construct", "--kind", "lowap", "--alpha", "0.05", "--n", "100"],
+        ["construct", "--kind", "lowap", "--alpha", "0.05", "--n", "0"],
     ],
     ids=["product-no-factors", "product-retries-0", "interval-retries-0", "product-epsilon-0",
          "product-alpha-0", "upper-epsilon-0", "upper-epsilon-negative", "upper-epsilon-nan",
@@ -120,7 +123,7 @@ def exit_code(argv):
          "product-factors-negative", "product-alpha-above-1", "product-alpha-overflow",
          "interval-alpha-overflow", "verify-alpha-above-1", "verify-alpha-overflow",
          "upper-strict-epsilon-overflow", "upper-strict-epsilon-1", "interval-epsilon-overflow", "product-epsilon-1",
-         "verify-epsilon-1"],
+         "verify-epsilon-1", "behrend-n-0", "lowap-n-even", "lowap-n-0"],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
     # bad flag values exit 2 with an error line, never in a traceback with
@@ -216,7 +219,7 @@ def test_construct_lowap_golden_bytes(tmp_path, n):
     assert digest(f"{out}.set.json") == LOWAP_SHA256[n]
 
 
-def test_construct_product_exit_codes(tmp_path):
+def test_construct_product_exit_codes(tmp_path, capsys):
     # the m1=5 boost profile verifies its density target but genuinely
     # exceeds the 3/2 cube-moment target, so the cert reports a failure
     code = main(["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "8e-3",
@@ -233,6 +236,12 @@ def test_construct_product_exit_codes(tmp_path):
     # a factor of 1 is infeasible too, caught before anything divides by m1 - 1
     assert main(["construct", "--kind", "product", "--factors", "1",
                  "--out", str(tmp_path / "one")]) == 4
+    # alpha' = 0.5000000000000001 cannot host the model profile: the gate says
+    # so before level 1 is built, with the digits that show it
+    capsys.readouterr()
+    assert main(["construct", "--kind", "product", "--alpha", "0.4285714285714286",
+                 "--epsilon", "8e-3", "--factors", "7,31", "--out", str(tmp_path / "half")]) == 4
+    assert "model-mean-in-range: alpha'=0.5000000000000001" in capsys.readouterr().err
     # retries exhausted at a two-level desk run
     code = main(["construct", "--kind", "product", "--alpha", "0.25", "--epsilon", "1e-3",
                  "--factors", "5,101", "--retries", "2", "--out", str(tmp_path / "r"),
@@ -524,6 +533,7 @@ def test_upper_regularity_failure_exit_6(tmp_path, capsys, monkeypatch):
         (["upper", "--schedule", "strict", "--epsilon", "1e-320"], 5),
         (["construct", "--kind", "interval", "--mode", "strict", "--n", "20000",
           "--epsilon", "1e-30"], 4),  # eps^-15 overflows
+        (["construct", "--kind", "interval", "--n", "999"], 4),  # below the desk minimum 1000
     ],
 )
 def test_float_edge_flags_end_without_traceback(tmp_path, capsys, argv, code):

@@ -71,6 +71,10 @@ def test_strict_mode_names_bounds():
     window = r"\(1.585e\+21, 3.162e\+44\)"
     with pytest.raises(InfeasibleError, match="no admissible modulus q in " + window):
         choose_interval_params(10**106, 0.1, 1e-7, mode="strict")
+    # a --factors product is held to the same window, not searched for a prime
+    # class count near N/q = 2e105
+    with pytest.raises(InfeasibleError, match="no admissible modulus q in " + window):
+        choose_interval_params(10**106, 0.1, 1e-7, mode="strict", factors=(5,))
 
 
 def test_desk_choice_lands_near_n():

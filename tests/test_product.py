@@ -66,11 +66,6 @@ def test_level1_m3_kills_everything():
     assert np.abs(st.density_table[1:]).max() < 1e-12
 
 
-def test_level1_range_error():
-    with pytest.raises(InfeasibleError):
-        build_level1(0.9, 5)  # 0.9 * 1.25 > 1
-
-
 def test_modify_structure_and_mean():
     st = build_level1(ALPHA, 5)
     rng = np.random.default_rng(0)
@@ -432,25 +427,32 @@ def test_construct_infeasible_factors():
         )
 
 
-@pytest.mark.parametrize("factors", [(7, 5), (5, 3), (5, 15629, 3)])
+# factors -> (alpha, the one check that fails); the level builders check
+# none of these themselves
+GATE_REJECTS = {
+    (7, 5): (ALPHA, "model-prime"),  # a later factor hosts the model profile: m >= 7
+    (5, 3): (ALPHA, "model-prime"),
+    (5, 15629, 3): (ALPHA, "model-prime"),
+    (9,): (ALPHA, "factors-odd-distinct-primes"),
+    (5, 31, 31): (ALPHA, "factors-odd-distinct-primes"),
+    (5,): (0.9, "boost-in-range"),  # alpha' = 0.9 * 5/4 > 1
+    (7, 31): (0.4285714285714286, "model-mean-in-range"),  # alpha' = 0.5000000000000001
+}
+
+
+@pytest.mark.parametrize("factors", list(GATE_REJECTS))
 def test_small_later_factor_is_fatal(factors, monkeypatch):
-    # a later factor hosts the model profile, which needs m >= 7; the
-    # feasibility check rejects it before any level is built
+    # the feasibility check rejects every such input, in desk mode too,
+    # before any level is built
     from popdiff import product
 
-    rep = feasibility(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=factors))
-    assert [c.name for c in rep.checks if c.status == "fail"] == ["model-prime"]
+    alpha, check = GATE_REJECTS[factors]
+    params = ProductParams(alpha=alpha, epsilon=1e-3, factors=factors)
+    assert [c.name for c in feasibility(params).checks if c.status == "fail"] == [check]
 
     def no_build(*args, **kwargs):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(product, "build_level1", no_build)
-    with pytest.raises(InfeasibleError, match="model-prime"):
-        construct_product(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=factors), seed=0)
-
-
-def test_strict_mode_insufficient_points():
-    # strict mode refuses to clamp the coset budget
-    st = build_level1(ALPHA, 5)
-    with pytest.raises(InfeasibleError):
-        random_modify_level(st, 31, np.random.default_rng(0), mu_next=2.0, clamp=False)
+    with pytest.raises(InfeasibleError, match=check):
+        construct_product(params, seed=0)
