@@ -33,6 +33,8 @@ from .errors import DomainError, InfeasibleError
 # candidate intervals, so it is part of every lowap artifact
 _INTERVAL_CAP = 4096
 
+ALPHA0 = 0.1  # the density threshold alpha_0: the largest low-AP subset mean and strict alpha
+
 
 @dataclass
 class LowAPSubset:
@@ -93,11 +95,11 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
         raise DomainError("n must be positive")
     if n % 2 == 0:
         raise DomainError("the modulus must be odd")
-    if not 0 < alpha <= 0.1:
-        raise DomainError(f"alpha={alpha} out of range (need 0 < alpha <= 0.1)")
+    if not 0 < alpha <= ALPHA0:
+        raise DomainError(f"alpha={alpha} out of range (need 0 < alpha <= {ALPHA0})")
     cap = min(max(64, 4 * n), _INTERVAL_CAP)
     sizes = _apfree_sizes_up_to(cap)
-    # alpha <= 0.1 gives 6*alpha < 1 = r(1), so N = 1 is always a candidate
+    # alpha <= ALPHA0 gives 6*alpha < 1 = r(1), so N = 1 is always a candidate
     candidates = [m for m in range(1, cap + 1) if sizes[m] >= 6 * alpha * m]
     bound = max(1.0 / n, density_bound(alpha))
 

@@ -26,18 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .aps import Verdict, ap_profile, ap_sums, within, worst_difference
-from .behrend import low_ap_density_subset, scaled_indicator
+from .behrend import ALPHA0, low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
-from .product import ProductParams, construct_product
-
-# the absolute density threshold alpha_0: strict mode needs alpha <= ALPHA0, and
-# the overlay's low-AP subset is built at a mean of at most ALPHA0
-ALPHA0 = 0.1
+from .product import FeasibilityReport, ProductParams, construct_product, exp_text, window_checks
 
 
 @dataclass
@@ -60,8 +57,10 @@ class IntervalParams:
 
 def seam_tail_fraction(alpha: float, n_total: int) -> float:
     """Smallest tail fraction that starves every near-boundary difference:
-    t/(beta N + t) <= alpha^3 for all t >= 1 needs beta N >= (1-alpha^3)/alpha^3."""
-    return (1 - alpha**3) / (alpha**3 * n_total) * 1.05
+    t/(beta N + t) <= alpha^3 for all t >= 1 needs beta N alpha^3 >= 1 - alpha^3,
+    which no tail meets once alpha^3 N underflows to 0."""
+    a3n = alpha**3 * n_total
+    return (1 - alpha**3) / a3n * 1.05 if a3n else math.inf
 
 
 def choose_interval_params(
@@ -74,39 +73,49 @@ def choose_interval_params(
 ) -> IntervalParams:
     """Pick the tail fraction, the modulus q and the class count p = N'/q.
 
-    Strict mode enforces the full hypothesis chain (N >= epsilon^-15,
-    epsilon <= alpha^7, modulus window N^(1/5) < q < sqrt(beta alpha^3
-    (1-eps) N) with beta = eps^2) and fails loudly naming the violated bound;
-    the class-balance argument pins the window on the tiling modulus q, with
-    the class count p = N'/q a free large prime.  Desk mode admits any
-    modulus the product side accepts, prefers the largest N' = p*q, and
+    Strict mode decides the hypothesis chain exactly or in logarithms, before
+    any primality test: N >= epsilon^-15, epsilon <= alpha^7 and alpha <=
+    alpha0, then the modulus window N^(1/5) < q <= sqrt(eps^2 alpha^3 (1-eps)
+    N) and the product's own windows on (alpha/(1-eps^2), 4 eps, factors), the
+    largest boost any class count p gives; one report names every violated
+    bound.  The class count p = N'/q is a free large prime.  Desk mode admits
+    any modulus the product side accepts, prefers the largest N' = p*q, and
     records every waiver; pass ``beta_floor`` to demand a longer zero tail
     (see seam_tail_fraction for the value that defeats boundary differences).
     """
     if mode not in ("strict", "desk"):
         raise DomainError(f"unknown mode {mode!r}")
     notes = []
+    fac = None if factors is None else tuple(int(m) for m in factors)
     if mode == "strict":
-        try:
-            n_min = epsilon**-15
-        except OverflowError:  # past the float range: no N is large enough
-            n_min = math.inf
-        if n_total < n_min:
-            raise InfeasibleError(f"N={n_total} violates N >= epsilon^-15 = {n_min:.6g}")
-        if epsilon > alpha**7:
-            raise InfeasibleError(f"epsilon={epsilon} violates epsilon <= alpha^7 = {alpha**7:.3g}")
-        if alpha > ALPHA0:
-            raise InfeasibleError(f"alpha={alpha} exceeds alpha0={ALPHA0}")
+        # the polynomial bounds are exact in N, q and the floats' integer ratios
+        e, a = Fraction(epsilon), Fraction(alpha)
+        ln_n, ln_e, ln_a = math.log(n_total), math.log(epsilon), math.log(alpha)
+        rep = FeasibilityReport(mode)
+        rep.add("N-bound", n_total * e**15 >= 1,
+                f"N={n_total} violates N >= epsilon^-15 = {exp_text(-15 * ln_e, '.6g')}")
+        rep.add("epsilon-bound", e <= a**7,
+                f"epsilon={epsilon} violates epsilon <= alpha^7 = {exp_text(7 * ln_a, '.3g')}")
+        rep.add("alpha-bound", alpha <= ALPHA0, f"alpha={alpha} exceeds alpha0={ALPHA0}")
+        rep.raise_if_fatal()  # alpha <= 0.1 and eps <= 1e-7 from here on
         beta_cap = epsilon**2
-        q_lo = n_total**0.2
-        q_hi = math.sqrt(beta_cap * alpha**3 * (1 - epsilon) * n_total)
-        # the checks above give q_hi/q_lo >= eps^-3.28 (1-eps)^(1/2) > 1e22, so
-        # the window is never empty (the "no admissible modulus" error names it)
+        ln_hi = (2 * ln_e + 3 * ln_a + math.log1p(-epsilon) + ln_n) / 2
+        window = f"({exp_text(ln_n / 5, '.4g')}, {exp_text(ln_hi, '.4g')})"
+        # without factors no q is admissible: a single prime q > N^(1/5) >=
+        # eps^-3 lies above the m1 window's upper end (4 eps)^(-1/3)
+        candidates = []
+        if fac is not None:
+            q = math.prod(fac)
+            ok = q**5 > n_total and q**2 <= e**2 * a**3 * (1 - e) * n_total
+            rep.add("modulus-window", ok, f"q={q} outside the modulus window {window}")
+            window_checks(rep, alpha / (1 - epsilon**2), 4 * epsilon, fac)
+            rep.raise_if_fatal()
+            candidates = [(q, fac)]
     else:
         if n_total < 1000:
             raise InfeasibleError(f"N={n_total} below the desk minimum 1000")
-        q_lo = 5
-        q_hi = n_total**0.8
+        q_lo, q_hi = 5, n_total**0.8
+        window = f"({q_lo:.4g}, {q_hi:.4g})"
         beta_cap = max(epsilon**2, 0.25)
         notes.append("desk mode: modulus window widened to [5, N^0.8]")
         seam = seam_tail_fraction(alpha, n_total)
@@ -115,17 +124,15 @@ def choose_interval_params(
                 f"tail fraction below the seam threshold {seam:.4g} leaves boundary "
                 f"differences above alpha^3; pass beta_floor to harden the tail"
             )
+        candidates = (
+            _modulus_candidates(4 * epsilon, q_lo, q_hi) if fac is None else [(math.prod(fac), fac)]
+        )
     if beta_floor is not None:
         if beta_floor >= 0.5:
             raise InfeasibleError("tail floor beta >= 0.5 leaves no room for the profile")
         beta_cap = max(beta_cap, beta_floor * 1.5 + 0.01)
-
-    eps_prod = 4 * epsilon
-    candidates = _modulus_candidates(eps_prod, q_lo, q_hi, factors, strict=mode == "strict")
     if not candidates:
-        raise InfeasibleError(
-            f"no admissible modulus q in ({q_lo:.4g}, {q_hi:.4g}) for the product side"
-        )
+        raise InfeasibleError(f"no admissible modulus q in {window} for the product side")
     best = None  # maximize N', tie-break on larger q
     for q, fac in candidates:
         lo_p = max(int(math.ceil((1 - beta_cap) * n_total / q)), 3)
@@ -140,7 +147,7 @@ def choose_interval_params(
     if best is None:
         raise InfeasibleError(
             f"no prime class count p puts N' = p*q inside the tail window for any "
-            f"modulus q in ({q_lo:.4g}, {q_hi:.4g})"
+            f"modulus q in {window}"
         )
     p, q, fac = best
     n_prime = p * q
@@ -154,23 +161,16 @@ def choose_interval_params(
         factors=fac,
         n_prime=n_prime,
         beta=1 - n_prime / n_total,
-        notes=notes + [f"modulus window ({q_lo:.4g}, {q_hi:.4g}), tail cap {beta_cap:.4g}"],
+        notes=notes + [f"modulus window {window}, tail cap {beta_cap:.4g}"],
     )
 
 
-def _modulus_candidates(eps_prod, q_lo, q_hi, factors, strict=False):
-    """Moduli q (with factorizations) admissible for the product side.  A
-    ``factors`` product is the one candidate: desk mode takes it as given,
-    strict mode only inside the window a scanned q must lie in."""
-    q_first = max(5, int(q_lo) | 1)
-    if factors is not None:
-        fac = tuple(int(m) for m in factors)
-        q = math.prod(fac)
-        return [(q, fac)] if not strict or q_first <= q <= q_hi else []
-    # single-factor moduli: the base profile needs (3q-1)/(q-1)^3 >= eps_prod,
-    # which falls as q grows, so the first q that fails it ends the scan
+def _modulus_candidates(eps_prod, q_lo, q_hi):
+    """Desk single-factor moduli (q, (q,)): the primes q of [q_lo, q_hi] where the
+    base profile meets (3q-1)/(q-1)^3 >= eps_prod, which falls as q grows, so
+    the first q that fails it ends the scan."""
     out = []
-    q = q_first
+    q = max(5, int(q_lo) | 1)
     while q <= q_hi and (3 * q - 1) / (q - 1) ** 3 >= eps_prod:
         if is_prime(q):
             out.append((q, (q,)))
@@ -309,6 +309,8 @@ def construct_interval_fn(
         g_fn, _ = construct_product(prod_params, seed=seed + 7919 * p_try, max_retries_per_level=10)
         f2 = step1_step2_tile(params, g_fn)
         alpha_star, t_classes = _common_classes(g_fn)
+        if not alpha_star:  # g's common value alpha' rounds to 0 at 12 decimals
+            raise InfeasibleError(f"common value alpha*=0 at 12 decimals for alpha={alpha}; raise alpha")
         x_set = low_ap_density_subset(params.p, min(alpha_star, ALPHA0))
         if alpha_star > x_set.density * (1 + 1e-12):
             # a subset asked for at alpha* <= ALPHA0 always reaches alpha*

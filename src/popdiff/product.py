@@ -87,10 +87,6 @@ class FeasibilityReport:
     mode: str
     checks: list = field(default_factory=list)
 
-    @property
-    def fatal(self) -> bool:
-        return any(c.status == "fail" for c in self.checks)
-
     def add(self, name, ok, detail, waivable=True):
         if ok:
             status = "pass"
@@ -99,6 +95,19 @@ class FeasibilityReport:
         else:
             status = "fail"
         self.checks.append(FeasibilityCheck(name, status, detail))
+
+    def raise_if_fatal(self) -> None:
+        bad = [f"{c.name}: {c.detail}" for c in self.checks if c.status == "fail"]
+        if bad:
+            raise InfeasibleError("; ".join(bad))
+
+
+def exp_text(log_x: float, spec: str) -> str:
+    """format(exp(log_x), spec) for a "g" spec, also past the float range."""
+    k = math.floor(log_x / math.log(10))
+    k = k - 300 if k > 300 else min(0, k + 300)  # a shift of 10^k leaves a float
+    mant, e, exp10 = format(math.exp(log_x - k * math.log(10)), spec).partition("e")
+    return f"{mant}e{int(exp10) + k:+d}" if k else mant + e + exp10
 
 
 def feasibility(params: ProductParams) -> FeasibilityReport:
@@ -110,8 +119,6 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
     """
     rep = FeasibilityReport(params.mode)
     fac = params.factors
-    a, eps = params.alpha, params.epsilon
-    s = len(fac)
 
     distinct = len(set(fac)) == len(fac)
     all_prime = all(is_prime(m) and m % 2 == 1 for m in fac)
@@ -121,49 +128,41 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
 
     ap = params.alpha_prime
     rep.add("boost-in-range", ap <= 1 + 1e-12, f"alpha'={ap:.6g}", waivable=False)
-    if s >= 2:
-        rep.add(
-            "model-mean-in-range",
-            ap <= 0.5,
-            f"alpha'={ap!r} must be <= 1/2 to host the model profile",
-            waivable=False,
-        )
-        rep.add(
-            "model-prime",
-            min(fac[1:]) >= MIN_MODEL_PRIME,
-            f"factors after the first host the model profile, so each must be >= "
-            f"{MIN_MODEL_PRIME}: {fac[1:]}",
-            waivable=False,
-        )
+    if len(fac) >= 2:
+        rep.add("model-mean-in-range", ap <= 0.5,
+                f"alpha'={ap!r} must be <= 1/2 to host the model profile", waivable=False)
+        rep.add("model-prime", min(fac[1:]) >= MIN_MODEL_PRIME,
+                f"factors after the first host the model profile, so each must be >= "
+                f"{MIN_MODEL_PRIME}: {fac[1:]}", waivable=False)
+    window_checks(rep, params.alpha, params.epsilon, fac)
+    return rep
 
+
+def window_checks(rep: FeasibilityReport, a: float, eps: float, fac: tuple) -> None:
+    """Add the paper's windows on (alpha, epsilon, factors) to ``rep``, exact or in
+    logarithms, so no positive finite a and eps or positive integer factors overflow."""
     rep.add("alpha-window", 0 < a <= 0.25, f"alpha={a}")
     rep.add("epsilon-window", 0 < eps <= STRICT_EPS_MAX, f"eps={eps}, strict max {STRICT_EPS_MAX:.3g}")
-    lo, hi = eps ** (-1 / 3) / 2, eps ** (-1 / 3)
-    # the window ends are float powers; tolerate one part in 1e12 at the edges
-    rep.add(
-        "m1-window",
-        lo < fac[0] <= hi * (1 + 1e-12),
-        f"m1={fac[0]}, window ({lo:.6g}, {hi:.6g}]",
-    )
+    # eps^(-1/3)/2 < m1 <= eps^(-1/3), that is 1 < 8 m1^3 eps <= 8
+    num, den = eps.as_integer_ratio()
+    hi = eps ** (-1 / 3)
+    rep.add("m1-window", den < 8 * fac[0] ** 3 * num <= 8 * den,
+            f"m1={fac[0]}, window ({hi / 2!r}, {hi!r}]")
 
+    ln_eps = math.log(eps)
     n_prev = fac[0]
-    for i in range(2, s + 1):
-        m = fac[i - 1]
-        rep.add(f"m{i}-growth-lower", m > n_prev**6, f"m{i}={m} vs n_{i-1}^6={n_prev**6}")
-        exponent = 0.5 * 64.0**-2 * 150.0 ** (i - 1) * eps**0.25 * n_prev
-        try:
-            upper = math.exp(exponent) / 2
-        except OverflowError:
-            upper = math.inf
-        # exp(...)/2 from the headline statement; the modulus approximation
-        # argument quotes exp(...) without the /2
-        rep.add(f"m{i}-growth-upper", m < upper, f"m{i}={m} vs exp(...)/2={upper:.6g}")
+    for i, m in enumerate(fac[1:], start=2):
+        rep.add(f"m{i}-growth-lower", m > n_prev**6,
+                f"m{i}={m} vs n_{i-1}^6={exp_text(6 * math.log(n_prev), '.6g')}")
+        # m < exp(x)/2, x = 64^-2 150^(i-1) eps^(1/4) n_{i-1} / 2, as ln ln 2m < ln x; the
+        # /2 is the headline statement's, which the modulus approximation argument drops
+        ln_x = (i - 1) * math.log(150) + ln_eps / 4 + math.log(n_prev) - math.log(8192)
+        rep.add(f"m{i}-growth-upper", math.log(math.log(2 * m)) < ln_x,
+                f"m{i}={m} vs exp(x)/2 with x={exp_text(ln_x, '.6g')}")
         n_prev *= m
 
-    # eps > 0 here: any eps <= 0 has already raised at the m1 window's eps ** (-1 / 3)
-    s_max = math.log(eps**-0.25 * a**6 / 8, 150)
-    rep.add("level-count", s <= s_max, f"s={s} vs log150(eps^-1/4 alpha^6 / 8)={s_max:.4g}")
-    return rep
+    s_max = (6 * math.log(a) - ln_eps / 4 - math.log(8)) / math.log(150)
+    rep.add("level-count", len(fac) <= s_max, f"s={len(fac)} vs log150(eps^-1/4 alpha^6 / 8)={s_max:.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +363,7 @@ def construct_product(
     retry passes, with a log carrying the failing level's best verdict (not
     its state).
     """
-    rep = feasibility(params)
-    if rep.fatal:
-        bad = [c for c in rep.checks if c.status == "fail"]
-        raise InfeasibleError("; ".join(f"{c.name}: {c.detail}" for c in bad))
+    feasibility(params).raise_if_fatal()
 
     alpha, eps, fac = params.alpha, params.epsilon, params.factors
     ap = params.alpha_prime

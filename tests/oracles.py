@@ -14,7 +14,13 @@ from popdiff.errors import DomainError, InfeasibleError, RegularityError, Retrie
 from popdiff.fourier import dft_values, idft
 from popdiff.modelfn import build_model_fn, model_support
 from popdiff.interval import IntervalParams, SampleCert
-from popdiff.product import _ALPHA_PRIME_TOL, LevelState
+from popdiff.product import (
+    _ALPHA_PRIME_TOL,
+    MIN_MODEL_PRIME,
+    STRICT_EPS_MAX,
+    FeasibilityReport,
+    LevelState,
+)
 
 
 def smooth_tuple_ok(supp, a, n: int) -> tuple:
@@ -530,3 +536,76 @@ def reference_modulus_candidates(eps_prod, q_lo, q_hi, factors):
             out.append((q, (q,)))
         q += 2
     return out
+
+
+def reference_feasibility(params) -> FeasibilityReport:
+    """``product.feasibility`` with its windows in floats, as it was before
+    they were decided exactly and in logarithms.  Raises ValueError where
+    eps^-1/4 alpha^6 / 8 underflows to 0 in the level count."""
+    rep = FeasibilityReport(params.mode)
+    fac = params.factors
+    a, eps = params.alpha, params.epsilon
+    s = len(fac)
+
+    distinct = len(set(fac)) == len(fac)
+    all_prime = all(is_prime(m) and m % 2 == 1 for m in fac)
+    rep.add("factors-odd-distinct-primes", distinct and all_prime, f"factors={fac}", waivable=False)
+    if not (distinct and all_prime):
+        return rep
+
+    ap = params.alpha_prime
+    rep.add("boost-in-range", ap <= 1 + 1e-12, f"alpha'={ap:.6g}", waivable=False)
+    if s >= 2:
+        rep.add("model-mean-in-range", ap <= 0.5, f"alpha'={ap!r}", waivable=False)
+        rep.add("model-prime", min(fac[1:]) >= MIN_MODEL_PRIME, f"{fac[1:]}", waivable=False)
+
+    rep.add("alpha-window", 0 < a <= 0.25, f"alpha={a}")
+    rep.add("epsilon-window", 0 < eps <= STRICT_EPS_MAX, f"eps={eps}")
+    lo, hi = eps ** (-1 / 3) / 2, eps ** (-1 / 3)
+    # the window ends are float powers; tolerate one part in 1e12 at the edges
+    rep.add("m1-window", lo < fac[0] <= hi * (1 + 1e-12), f"m1={fac[0]}")
+
+    n_prev = fac[0]
+    for i in range(2, s + 1):
+        m = fac[i - 1]
+        rep.add(f"m{i}-growth-lower", m > n_prev**6, f"m{i}={m}")
+        exponent = 0.5 * 64.0**-2 * 150.0 ** (i - 1) * eps**0.25 * n_prev
+        try:
+            upper = math.exp(exponent) / 2
+        except OverflowError:
+            upper = math.inf
+        rep.add(f"m{i}-growth-upper", m < upper, f"m{i}={m}")
+        n_prev *= m
+
+    s_max = math.log(eps**-0.25 * a**6 / 8, 150)
+    rep.add("level-count", s <= s_max, f"s={s}")
+    return rep
+
+
+def reference_strict_interval(n_total, alpha, epsilon, factors):
+    """Strict ``interval.choose_interval_params`` with its bounds in floats,
+    as it was before the product's windows gated it, up to its search for a
+    prime class count: the bound it refuses first ("N", "epsilon", "alpha0"
+    or "modulus"), or None where it goes on to that search, which for every
+    N these bounds admit trial-divides class counts near N/q > 1e52.  Raises
+    OverflowError where N^(1/5) leaves the float range."""
+    try:
+        n_min = epsilon**-15
+    except OverflowError:
+        n_min = math.inf
+    if n_total < n_min:
+        return "N"
+    if epsilon > alpha**7:
+        return "epsilon"
+    if alpha > 0.1:
+        return "alpha0"
+    q_lo = n_total**0.2
+    q_hi = math.sqrt(epsilon**2 * alpha**3 * (1 - epsilon) * n_total)
+    q_first = max(5, int(q_lo) | 1)
+    if factors is not None:
+        ok = q_first <= math.prod(factors) <= q_hi
+    else:  # the scan ends at its first prime, or at the first q past the level-1 rule
+        q, ok = q_first, False
+        while not ok and q <= q_hi and (3 * q - 1) / (q - 1) ** 3 >= 4 * epsilon:
+            ok, q = is_prime(q), q + 2
+    return None if ok else "modulus"

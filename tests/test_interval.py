@@ -1,5 +1,7 @@
 """Interval construction: parameter search, tiling, overlay, sampling."""
 
+import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     reference_modulus_candidates,
+    reference_strict_interval,
     reference_sample_set,
     reference_step1_step2_tile,
     reference_step3_overlay,
@@ -63,18 +66,84 @@ def test_strict_mode_names_bounds():
         choose_interval_params(10**4, 0.1, 1e-2, mode="strict")
     with pytest.raises(InfeasibleError, match="alpha\\^7"):
         choose_interval_params(10**31, 0.1, 1e-2, mode="strict")
-    with pytest.raises(InfeasibleError, match="epsilon\\^-15 = inf"):
+    with pytest.raises(InfeasibleError, match="epsilon\\^-15 = 1e\\+450"):  # past the float range
         choose_interval_params(10**31, 0.1, 1e-30, mode="strict")
     with pytest.raises(InfeasibleError, match="alpha=0.2 exceeds alpha0=0.1"):
         choose_interval_params(10**76, 0.2, 1e-5, mode="strict")
-    # every hypothesis holds, but no q in the window meets (3q-1)/(q-1)^3 >= 4 eps
+    # every hypothesis holds, but a single prime q > N^(1/5) lies above the m1
+    # window of the product side
     window = r"\(1.585e\+21, 3.162e\+44\)"
     with pytest.raises(InfeasibleError, match="no admissible modulus q in " + window):
         choose_interval_params(10**106, 0.1, 1e-7, mode="strict")
     # a --factors product is held to the same window, not searched for a prime
     # class count near N/q = 2e105
-    with pytest.raises(InfeasibleError, match="no admissible modulus q in " + window):
+    with pytest.raises(InfeasibleError, match="q=5 outside the modulus window " + window):
         choose_interval_params(10**106, 0.1, 1e-7, mode="strict", factors=(5,))
+
+
+def test_strict_factors_inside_the_window_refused_at_once():
+    # q = 1e30 + 57 lies inside the modulus window, and the class counts near
+    # N/q = 1e76 were once trial-divided; the product's windows refuse first,
+    # before any primality test
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError) as err:
+        choose_interval_params(10**106, 0.1, 1e-7, mode="strict", factors=(10**30 + 57,))
+    assert time.perf_counter() - start < 1
+    assert "modulus-window" not in str(err.value)
+    assert "m1-window: m1=1000000000000000000000000000057" in str(err.value)
+
+
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True)
+
+
+@given(
+    st.integers(1, 10**600),
+    POSITIVE_FLOATS,
+    POSITIVE_FLOATS,
+    st.none() | st.lists(st.integers(1, 10**300), min_size=1, max_size=3).map(tuple),
+)
+def test_strict_params_only_refuse(n_total, alpha, eps, factors):
+    # no bound overflows or underflows; and below N = 1e680 every input fails
+    # a window (two levels need eps <= 2.6e-46 from the level count), so no
+    # run reaches the search for a prime class count
+    with pytest.raises(InfeasibleError):
+        choose_interval_params(n_total, alpha, eps, mode="strict", factors=factors)
+
+
+# the float form's first refusal -> the check the exact form names for it
+STRICT_NAMES = {
+    "N": "N-bound",
+    "epsilon": "epsilon-bound",
+    "alpha0": "alpha-bound",
+    "modulus": "modulus",  # modulus-window, or "no admissible modulus" without factors
+}
+PRODUCT_WINDOWS = ("alpha-window", "epsilon-window", "m1-window", "growth", "level-count")
+
+
+def test_strict_params_match_float_reference():
+    # where the float form refuses, the exact form refuses naming that bound;
+    # where it went on to search class counts, the product's windows refuse
+    searched = compared = 0
+    for n_total, alpha, eps, factors in itertools.product(
+        (1, 10**4, 10**30, 10**31, 10**76, 10**105, 10**106, 10**120, 10**300, 10**308, 10**400),
+        (5e-324, 1e-60, 1e-3, 0.05, 0.1, 0.2),
+        (5e-324, 1e-100, 1e-46, 1e-30, 1e-20, 1e-14, 1e-8, 1e-7, 1e-2, 0.5),
+        (None, (5,), (101, 1009), (10**22 + 1,), (10**30 + 57,), (10**70 + 1,),
+         (10**22 + 1, 10**60 + 1), (10**30 + 57, 10**200 + 1)),
+    ):
+        try:
+            ref = reference_strict_interval(n_total, alpha, eps, factors)
+        except OverflowError:
+            continue
+        compared += 1
+        with pytest.raises(InfeasibleError) as err:
+            choose_interval_params(n_total, alpha, eps, mode="strict", factors=factors)
+        if ref is None:
+            searched += 1
+            assert any(w in str(err.value) for w in PRODUCT_WINDOWS)
+        else:
+            assert STRICT_NAMES[ref] in str(err.value), (n_total, alpha, eps, factors)
+    assert compared > 4000 and searched > 10
 
 
 def test_desk_choice_lands_near_n():
@@ -90,8 +159,8 @@ def test_desk_choice_lands_near_n():
 @pytest.mark.parametrize("n_total", [10**5, 10**6, 10**7])
 def test_modulus_candidates_match_reference(n_total, eps):
     # the desk window [5, N^0.8]; the reference tests every odd q in it
-    args = (4 * eps, 5, n_total**0.8, None)
-    assert _modulus_candidates(*args) == reference_modulus_candidates(*args)
+    args = (4 * eps, 5, n_total**0.8)
+    assert _modulus_candidates(*args) == reference_modulus_candidates(*args, None)
 
 
 def test_desk_tail_floor():

@@ -2,34 +2,45 @@
 
 import copy
 import dataclasses
+import itertools
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st_
 
-from oracles import reference_random_modify_level, smooth_tuple_ok
+from oracles import reference_feasibility, reference_random_modify_level, smooth_tuple_ok
 from popdiff.aps import Verdict, ap_sums, perdiff_table_sparse
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.modelfn import CUBE_MOMENT_FACTOR, TRIPLE_DENSITY_FACTOR, build_model_fn
 from popdiff.product import (
+    FeasibilityReport,
     ProductParams,
     build_level1,
     construct_product,
+    exp_text,
     feasibility,
     random_modify_level,
     verify_level,
+    window_checks,
 )
 
 ALPHA = 0.25
 
 
 def test_feasibility_examples():
+    # the m1 window is exact: the float 2^-7 puts m1 = 5 inside (2.52, 5.04],
+    # and the float 8e-3 lies above 1/125, so 5 is one part in 1e17 past its
+    # upper end, inside the 1e-12 band that the float window tolerated
+    rep = feasibility(ProductParams(alpha=ALPHA, epsilon=2.0**-7, factors=(5,)))
+    m1 = [c for c in rep.checks if c.name == "m1-window"][0]
+    assert m1.status == "pass"
     rep = feasibility(ProductParams(alpha=ALPHA, epsilon=8e-3, factors=(5,)))
     m1 = [c for c in rep.checks if c.name == "m1-window"][0]
-    assert m1.status == "pass"  # eps^-1/3 = 5 exactly
+    assert m1.status == "waived"
 
     rep = feasibility(
         ProductParams(alpha=ALPHA, epsilon=20.0**-9, factors=(5,), mode="strict")
@@ -38,14 +49,83 @@ def test_feasibility_examples():
     assert m1.status == "fail"
 
     rep = feasibility(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=(5, 15)))
-    assert rep.fatal  # 15 is not prime
+    with pytest.raises(InfeasibleError, match="factors-odd-distinct-primes"):  # 15 is not prime
+        rep.raise_if_fatal()
 
 
 def test_feasibility_desk_waives():
     rep = feasibility(ProductParams(alpha=ALPHA, epsilon=1e-3, factors=(5, 15629)))
-    assert not rep.fatal
+    rep.raise_if_fatal()
     statuses = {c.name: c.status for c in rep.checks}
     assert statuses["epsilon-window"] == "waived"  # eps far above the strict max
+
+
+FEAS_ALPHAS = (5e-324, 1e-300, 1e-60, 1e-54, 1e-20, 1e-3, 0.05, 0.2, 0.25, 0.4, 0.5, 0.8, 1.0)
+FEAS_EPSILONS = (5e-324, 1e-300, 1e-100, 1e-60, 1e-46, 1e-27, 20.0**-9, 1e-9, 1e-6, 1e-3,
+                 1 / 343, 8e-3, 1 / 27, 0.1, 0.5, 0.9)
+FEAS_FACTORS = ((3,), (5,), (7,), (11,), (101,), (1009,), (9,), (5, 15), (5, 5), (7, 5),
+                (3, 733), (5, 15629), (5, 101), (101, 1009), (1009, 13), (1009, 7, 11),
+                (5, 15629, 10**6 + 3))
+
+
+def m1_band(eps, m1):
+    """The float window's tolerance band (eps^-1/3, eps^-1/3 (1 + 1e-12)]."""
+    hi = eps ** (-1 / 3)
+    return hi < m1 <= hi * (1 + 1e-12)
+
+
+def test_feasibility_matches_float_reference():
+    # on every grid point where the float form returns, every check's status
+    # is the same, except an m1 window inside the float form's tolerance band:
+    # on this grid, only m1 = 5 at the float 8e-3
+    banded, compared = set(), 0
+    for alpha, eps, fac, mode in itertools.product(
+        FEAS_ALPHAS, FEAS_EPSILONS, FEAS_FACTORS, ("desk", "strict")
+    ):
+        params = ProductParams(alpha=alpha, epsilon=eps, factors=fac, mode=mode)
+        try:
+            ref = reference_feasibility(params)
+        except ValueError:  # alpha^6 underflowed in the float level count
+            continue
+        compared += 1
+        got = {c.name: c.status for c in feasibility(params).checks}
+        want = {c.name: c.status for c in ref.checks}
+        assert got.keys() == want.keys()
+        diff = {k for k in got if got[k] != want[k]}
+        if diff:
+            assert diff == {"m1-window"} and m1_band(eps, fac[0]), (params, diff)
+            banded.add((eps, fac[0]))
+    assert compared > 5000 and banded == {(8e-3, 5)}
+
+
+POSITIVE_FLOATS = st_.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True)
+
+
+@given(
+    POSITIVE_FLOATS,
+    POSITIVE_FLOATS,
+    st_.lists(st_.integers(1, 10**300), min_size=1, max_size=3).map(tuple),
+    st_.sampled_from(("desk", "strict")),
+)
+@example(0.1, 1e-7, (10**400, 10**400 + 1, 3), "strict")  # n_2^6 has 4801 digits
+def test_window_checks_never_raise(alpha, eps, factors, mode):
+    # exact or in logarithms, no window overflows or underflows
+    rep = FeasibilityReport(mode)
+    window_checks(rep, alpha, eps, factors)
+    assert len(rep.checks) == 2 * len(factors) + 2
+    assert all(c.status in ("pass", mode == "desk" and "waived" or "fail") for c in rep.checks)
+
+
+@pytest.mark.parametrize("log_x", [-40.0, 0.0, 1.5, 49.43, 690.0])
+def test_exp_text_is_format_in_float_range(log_x):
+    for spec in (".3g", ".4g", ".6g"):
+        assert exp_text(log_x, spec) == format(math.exp(log_x), spec)
+
+
+def test_exp_text_past_float_range():
+    assert exp_text(450 * math.log(10), ".6g") == "1e+450"  # epsilon^-15 at epsilon = 1e-30
+    assert exp_text(-700 * math.log(10), ".3g") == "1e-700"
+    assert exp_text(11166.0, ".4g") == "2.149e+4849"
 
 
 def test_level1_exact():
