@@ -100,10 +100,10 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
     cap = min(max(64, 4 * n), _INTERVAL_CAP)
     sizes = _apfree_sizes_up_to(cap)
     # alpha <= ALPHA0 gives 6*alpha < 1 = r(1), so N = 1 is always a candidate
-    candidates = [m for m in range(1, cap + 1) if sizes[m] >= 6 * alpha * m]
+    candidates = np.flatnonzero(sizes[1:] >= 6 * alpha * np.arange(1, cap + 1)) + 1
     bound = max(1.0 / n, density_bound(alpha))
 
-    for n_a in sorted(candidates, reverse=True):
+    for n_a in candidates[::-1].tolist():
         a_set = np.asarray(apfree_set(n_a), dtype=np.int64)
         if n <= 4 * n_a:
             elems = _windowed_subset(a_set, n)

@@ -2,10 +2,10 @@
 inequality suite, and the constructive popular-difference search.
 
 B(S, rho) = {x : ||x r / n||_{R/Z} <= rho for every r in S}.  Distances are
-kept as integers D[x] = max_r min(x r mod n, n - x r mod n), so membership,
-dilation, doubling and regularity are exact set computations; regularity as a
-function of the radius only changes at the finitely many radii D[x]/n, which
-is what the scale searches enumerate.
+kept as integers D[x] = max_r min(x r mod n, n - x r mod n) and the radius as
+the exact rational R = rho n, so membership is D <= R, i.e. D <= floor(R),
+dilation scales R exactly, and the regularity inequality is decided in
+integers at its finitely many breakpoints; no comparison carries a slack.
 
 The increment search follows the mean-cube strategy: grow frequency sets
 S_i (large coefficients of f plus halved frequencies), smooth f by the Bohr
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,16 +28,18 @@ from .domains import GROUP, APProfile, DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
 from .fourier import convolve, dft, dft_values
 
-_EL_EPS = 1e-9  # membership threshold slack, in dist units
-
 
 @dataclass
 class BohrSet:
     n: int
     freqs: tuple
-    rho: float
+    radius: Fraction  # R = rho n exactly, in distance units
     dist: np.ndarray  # integer distances, one per group element
     elements: np.ndarray
+
+    @property
+    def rho(self) -> float:
+        return float(self.radius / self.n)
 
     @property
     def codim(self) -> int:
@@ -49,8 +52,6 @@ class BohrSet:
 
 def _dist_table(n: int, freqs) -> np.ndarray:
     x = np.arange(n, dtype=np.int64)
-    if not freqs:
-        return np.zeros(n, dtype=np.int64)
     d = np.zeros(n, dtype=np.int64)
     for r in freqs:
         m = (x * (int(r) % n)) % n
@@ -58,26 +59,26 @@ def _dist_table(n: int, freqs) -> np.ndarray:
     return d
 
 
-def _from_dist(n, freqs, rho, dist) -> BohrSet:
-    elements = np.flatnonzero(dist <= rho * n + _EL_EPS)
-    return BohrSet(n, tuple(freqs), float(rho), dist, elements)
+def _from_dist(n, freqs, radius: Fraction, dist) -> BohrSet:
+    elements = np.flatnonzero(dist <= math.floor(radius))
+    return BohrSet(n, tuple(freqs), radius, dist, elements)
 
 
 def bohr_set(n: int, freqs, rho: float) -> BohrSet:
-    """Materialize B(S, rho) by exact enumeration, O(n |S|)."""
+    """Materialize B(S, rho) = {x : D[x] <= rho n}, rho read exactly, in O(n |S|)."""
     if n % 2 == 0:
         raise DomainError(f"Bohr sets need odd group order, got n={n}")
     if not 0 <= rho <= 1:
         raise DomainError(f"radius rho={rho} outside [0,1]")
     freqs = tuple(sorted(set(int(r) % n for r in freqs)))
-    return _from_dist(n, freqs, rho, _dist_table(n, freqs))
+    return _from_dist(n, freqs, Fraction(rho) * n, _dist_table(n, freqs))
 
 
 def dilate(b: BohrSet, nu: float) -> BohrSet:
-    """(B)_nu: same frequency set, radius scaled by nu."""
-    if nu < 0 or nu * b.rho > 1 + 1e-12:
+    """(B)_nu: same frequency set, radius R nu exactly; needs nu rho <= 1."""
+    if not (0 <= nu < math.inf and b.radius * Fraction(nu) <= b.n):
         raise DomainError(f"scaled radius {nu * b.rho} outside [0,1]")
-    return _from_dist(b.n, b.freqs, nu * b.rho, b.dist)
+    return _from_dist(b.n, b.freqs, b.radius * Fraction(nu), b.dist)
 
 
 def double(b: BohrSet) -> BohrSet:
@@ -85,70 +86,75 @@ def double(b: BohrSet) -> BohrSet:
     n = b.n
     inv2 = pow(2, -1, n)
     freqs = tuple(sorted((r * inv2) % n for r in b.freqs))
-    x = np.arange(n, dtype=np.int64)
-    dist = b.dist[(x * inv2) % n]
-    return _from_dist(n, freqs, b.rho, dist)
+    dist = b.dist[(np.arange(n, dtype=np.int64) * inv2) % n]
+    return _from_dist(n, freqs, b.radius, dist)
 
 
 # ---------------------------------------------------------------------------
 # regularity
 
 
-def _regular(sorted_dist: np.ndarray, r: float, d: int) -> bool:
-    """The regularity inequality of the codimension-d Bohr set of radius r
-    (in dist units), read off its sorted distance table.
+def _at_most(b: BohrSet) -> list:
+    """c[t] = #{x : D[x] <= t} for 0 <= t <= 2n, all that a radius <= n reads."""
+    return np.cumsum(np.bincount(b.dist, minlength=2 * b.n + 1)).tolist()
 
-    Both sides only change at distances realized by group elements, so the
-    check evaluates the inequality exactly at every realized breakpoint; a
-    repeated distance repeats a candidate delta and changes nothing.
+
+def _regular(at_most: list, radius: Fraction, d: int) -> bool:
+    """The regularity inequality of the codimension-d Bohr set of radius R =
+    p/q, read off its counts ``_at_most``.
+
+    The annulus {(1-delta)R < D <= (1+delta)R} grows only at an entry delta =
+    D/R - 1, where it holds D, or just after an exit delta = 1 - D/R, where D
+    has left, and the right side grows with delta; so the inequality is checked
+    in integers at delta = 1/(80d) and at both for every integer D in the
+    window (an unrealized one only adds a check the definition also makes).
     """
-    if r <= _EL_EPS:
-        return True  # radius 0: both scaled sets coincide for all small delta
-    delta_max = 1 / (80 * d)
-    up = sorted_dist / r - 1
-    up = up[(up > 0) & (up <= delta_max)]
-    down = 1 - sorted_dist / r
-    down = down[(down > 0) & (down < delta_max)] + 1e-12  # just past the exit breakpoint
-    # keep delta_max: an up breakpoint on its sphere can round above it
-    cand = np.concatenate(([delta_max], up, down))
-    hi = np.searchsorted(sorted_dist, (1 + cand) * r + _EL_EPS, side="right")
-    lo = np.searchsorted(sorted_dist, (1 - cand) * r + _EL_EPS, side="right")
-    size = int(np.searchsorted(sorted_dist, r + _EL_EPS, side="right"))
-    return bool(np.all(hi - lo <= 160 * cand * d * size + 1e-9))
+    p, q = radius.numerator, radius.denominator
+    size = at_most[p // q]
+    two_r = 2 * p // q  # floor(2R), so floor(2R - D) = two_r - D
+    lo = (80 * d - 1) * p // (80 * d * q)  # floor((1 - 1/(80d)) R)
+    hi = (80 * d + 1) * p // (80 * d * q)  # floor((1 + 1/(80d)) R)
+    if at_most[hi] - at_most[lo] > 2 * size:  # the right side at 1/(80d) is 2|B|
+        return False
+    for t in range(lo + 1, hi + 1):
+        if t * q > p:  # entry: (1 - delta)R = 2R - t
+            count = at_most[t] - at_most[two_r - t]
+        else:  # just after the exit: from t up to (1 + delta)R = 2R - t
+            count = at_most[two_r - t] - at_most[t - 1]
+        if count * p > 160 * d * size * abs(t * q - p):  # delta = |t - R| / R
+            return False
+    return True
 
 
 def is_regular(b: BohrSet) -> bool:
-    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta <= 1/(80d)."""
+    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta in
+    (0, 1/(80d)], decided exactly; radius 0 is regular, and a radius equal to
+    the distance of an element never is."""
     if b.codim < 1:
         raise DomainError("regularity needs codimension >= 1")
-    return _regular(np.sort(b.dist), b.rho * b.n, b.codim)
+    return _regular(_at_most(b), b.radius, b.codim)
 
 
 def find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
-    """Largest nu in [1/2, 1] with (B)_nu regular.
-
-    Candidates are the element-induced radii in the window plus the window
-    ends and gap midpoints; each candidate is checked exactly against one
-    sorted distance table.  Radius 0, or no frequency (B(emptyset, rho) =
-    Z_n), is regular at every scale: nu = 1.
+    """A nu in [1/2, 1] with (B)_nu regular, and that set: the largest regular
+    candidate radius, kept exact.  The candidates are the window ends R/2 and R
+    and the midpoints between consecutive points of {R/2, R} and the distances
+    realized in [R/2, R]; a realized distance is never regular (``is_regular``),
+    so the radius returned is an end or a midpoint.  Radius 0, or no frequency
+    (B(emptyset, rho) = Z_n), is regular at every scale: nu = 1.
     """
-    r = b.rho
+    r = b.radius
     if r == 0 or not b.freqs:
         return 1.0, dilate(b, 1.0)
-    sorted_dist = np.sort(b.dist)
-    breaks = sorted_dist / b.n
-    breaks = breaks[(breaks >= 0.5 * r - 1e-15) & (breaks <= r + 1e-15)]
-    cand = set([0.5 * r, r])
-    cand.update(breaks.tolist())
-    ordered = sorted(cand)
-    for a, bb in zip(ordered, ordered[1:]):
-        cand.add((a + bb) / 2)
-    for radius in sorted(cand, reverse=True):
-        if _regular(sorted_dist, radius * b.n, b.codim):
-            return radius / r, _from_dist(b.n, b.freqs, radius, b.dist)
-    raise RegularityError(
-        f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
-    )
+    at_most = _at_most(b)
+    window = range(math.ceil(r / 2), math.floor(r) + 1)
+    realized = {t for t in window if at_most[t] > at_most[t - 1]}
+    points = sorted({r / 2, r} | realized)
+    cand = {r / 2, r} | {Fraction(lo + hi, 2) for lo, hi in zip(points, points[1:])}
+    for radius in sorted(cand - realized, reverse=True):
+        if _regular(at_most, radius, b.codim):
+            return float(radius / r), _from_dist(b.n, b.freqs, radius, b.dist)
+    raise RegularityError(f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +277,7 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
     d1 = b1.codim
 
     def contained(inner: BohrSet, outer: BohrSet, scale: float) -> bool:
-        if scale * outer.rho >= 1:
-            return True  # the dilated set is the whole group
-        members = set(dilate(outer, scale).elements.tolist())
-        return set(inner.elements.tolist()) <= members
+        return bool(np.all(outer.dist[inner.elements] <= math.floor(outer.radius * Fraction(scale))))
 
     reg1 = is_regular(b1)
     reg2 = is_regular(b2)
@@ -461,10 +464,7 @@ def upper_search(
 
     rho_c, b_c = bohrs[chosen - 1]
     if nu is None:
-        try:
-            nu = 1e-5 * epsilon * rho_c**2
-        except OverflowError:  # +inf, as a float product would give; capped below
-            nu = math.inf
+        nu = 1e-5 * epsilon * rho_c * rho_c  # overflows to +inf, capped below
     _, b_final = find_regular_scale(dilate(b_c, min(nu / 2, 1.0)))
     if b_final.size <= 1:
         raise DegenerateBohrError(f"Bohr set collapsed to the origin at level {chosen}")

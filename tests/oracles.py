@@ -4,11 +4,12 @@ against; nothing in src/ calls them."""
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from popdiff import aps
-from popdiff.bohr import _EL_EPS, BohrSet, _from_dist, dilate
+from popdiff.bohr import BohrSet, _from_dist, dilate
 from popdiff.domains import OVER_WINDOW, DensityFn, Spectrum, interval, is_prime
 from popdiff.errors import DomainError, InfeasibleError, RegularityError, RetriesExhausted
 from popdiff.fourier import dft_values, idft
@@ -154,61 +155,81 @@ def reference_pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
     return counts.astype(np.float64)
 
 
-def reference_is_regular(b: BohrSet) -> bool:
-    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta <= 1/(80d).
+def _annulus(b: BohrSet, delta: Fraction, closed: bool = False) -> int:
+    """|{x : (1-delta)R < D[x] <= (1+delta)R}|, or with the lower end closed."""
+    lower = (1 - delta) * b.radius
+    inside = b.dist <= math.floor((1 + delta) * b.radius)
+    above = b.dist >= math.ceil(lower) if closed else b.dist > math.floor(lower)
+    return int(np.count_nonzero(inside & above))
 
-    Both sides only change at distances realized by group elements, so the
-    check evaluates the inequality exactly at every realized breakpoint.
-    The reference for bohr.is_regular: its earlier form, which takes the
-    distinct distances and sorts the table on every call.
+
+def reference_is_regular(b: BohrSet) -> bool:
+    """|(B)_{1+delta} \\ (B)_{1-delta}| <= 160 delta d |B| for all delta in
+    (0, 1/(80d)], in Fractions, one distinct distance at a time.
+
+    The reference for bohr.is_regular.  Each distance D gives the entry
+    delta = D/R - 1, checked at itself, or the exit delta = 1 - D/R, checked
+    as the limit from the right, where the annulus is closed below (it still
+    holds D) and the right side is its value at the exit.
     """
     d = b.codim
     if d < 1:
         raise DomainError("regularity needs codimension >= 1")
-    delta_max = 1 / (80 * d)
-    r = b.rho * b.n
-    if r <= _EL_EPS:
-        return True  # radius 0: both scaled sets coincide for all small delta
-    distinct = np.unique(b.dist)
-    cand = [delta_max]
-    up = distinct / r - 1
-    cand.extend(up[(up > 0) & (up <= delta_max)])
-    down = 1 - distinct / r
-    down = down[(down > 0) & (down < delta_max)]
-    cand.extend(down + 1e-12)  # just past the exit breakpoint
-    cand = np.asarray(cand)
-    sorted_dist = np.sort(b.dist)
-    hi = np.searchsorted(sorted_dist, (1 + cand) * r + _EL_EPS, side="right")
-    lo = np.searchsorted(sorted_dist, (1 - cand) * r + _EL_EPS, side="right")
-    lhs = hi - lo
-    rhs = 160 * cand * d * b.size
-    return bool(np.all(lhs <= rhs + 1e-9))
+    r = b.radius
+    if r == 0:
+        return True  # every annulus is empty
+    delta_max = Fraction(1, 80 * d)
+    checks = [(delta_max, False)]
+    for dist in np.unique(b.dist).tolist():
+        if 0 < dist / r - 1 <= delta_max:
+            checks.append((dist / r - 1, False))
+        if 0 <= 1 - dist / r < delta_max:
+            checks.append((1 - dist / r, True))
+    return all(_annulus(b, delta, closed) <= 160 * delta * d * b.size for delta, closed in checks)
+
+
+def brute_is_regular(b: BohrSet) -> bool:
+    """The regularity inequality by its definition: the annulus is constant
+    between consecutive breakpoints |D/R - 1| (for every element), so it is
+    counted at every breakpoint in (0, 1/(80d)] and at the middle of every
+    gap, against the right side at the gap's left end, its infimum there."""
+    d = b.codim
+    r = b.radius
+    if r == 0:
+        return True
+    delta_max = Fraction(1, 80 * d)
+    breaks = sorted({abs(dist / r - 1) for dist in b.dist.tolist()} | {0, delta_max})
+    breaks = breaks[: breaks.index(delta_max) + 1]
+
+    def holds(at: Fraction, rhs_delta: Fraction) -> bool:
+        inside = sum(1 for dist in b.dist.tolist() if (1 - at) * r < dist <= (1 + at) * r)
+        return inside <= 160 * rhs_delta * d * b.size
+
+    return all(holds(delta, delta) for delta in breaks[1:]) and all(
+        holds((lo + hi) / 2, lo) for lo, hi in zip(breaks, breaks[1:])
+    )
 
 
 def reference_find_regular_scale(b: BohrSet) -> tuple[float, BohrSet]:
-    """Largest nu in [1/2, 1] with (B)_nu regular.
+    """A nu in [1/2, 1] with (B)_nu regular: the largest regular candidate
+    among the window ends, every distance realized in [R/2, R] and the
+    midpoints between consecutive ones.  Radius 0, or no frequency
+    (B(emptyset, rho) = Z_n), is regular at every scale: nu = 1.
 
-    Candidates are the element-induced radii in the window plus the window
-    ends and gap midpoints; each candidate is checked exactly.  Radius 0, or
-    no frequency (B(emptyset, rho) = Z_n), is regular at every scale: nu = 1.
-    The reference for bohr.find_regular_scale: its earlier form, which
-    materializes every candidate Bohr set and checks it with
-    reference_is_regular.
+    The reference for bohr.find_regular_scale, which skips the realized
+    distances: this one materializes every candidate Bohr set and checks it
+    with reference_is_regular.
     """
-    r = b.rho
+    r = b.radius
     if r == 0 or not b.freqs:
         return 1.0, dilate(b, 1.0)
-    breaks = np.unique(b.dist) / b.n
-    breaks = breaks[(breaks >= 0.5 * r - 1e-15) & (breaks <= r + 1e-15)]
-    cand = set([0.5 * r, r])
-    cand.update(breaks.tolist())
-    ordered = sorted(cand)
-    for a, bb in zip(ordered, ordered[1:]):
-        cand.add((a + bb) / 2)
+    points = {r / 2, r} | {Fraction(x) for x in np.unique(b.dist).tolist() if r / 2 <= x <= r}
+    ordered = sorted(points)
+    cand = points | {(lo + hi) / 2 for lo, hi in zip(ordered, ordered[1:])}
     for radius in sorted(cand, reverse=True):
         scaled = _from_dist(b.n, b.freqs, radius, b.dist)
         if reference_is_regular(scaled):
-            return radius / r, scaled
+            return float(radius / r), scaled
     raise RegularityError(
         f"no regular scale in [0.5, 1] for B(S={b.freqs}, rho={b.rho}) on Z_{b.n}"
     )

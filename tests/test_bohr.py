@@ -1,6 +1,7 @@
 """Bohr sets, regularity, the inequality suite, and the increment search."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_is_regular,
     lambda_weighted_spectral,
     reference_find_regular_scale,
     reference_is_regular,
 )
 from popdiff.aps import per_diff_density, total_3ap_density
 from popdiff.bohr import (
-    _EL_EPS,
     BohrSet,
+    _dist_table,
+    _from_dist,
     beta_measure,
     bohr_set,
     dilate,
@@ -126,31 +129,21 @@ def _exit_slack_example():
 
 
 def test_regular_exit_breakpoint_counterexample():
-    # the membership rule D <= s r + _EL_EPS keeps the two elements at
-    # distance 23 inside (B)_{1-delta} until delta = 1 - (23 - _EL_EPS)/r,
-    # which is past the exit candidate 1 - 23/r + 1e-12 that _regular checks.
-    # Just past that point the annulus holds 2 elements against
-    # 160 delta d |B| = 1.69, so the inequality fails there.
+    # the two elements at distance 23 leave (B)_{1-delta} at delta_e = 1 - 23/R;
+    # just after, the annulus holds both against 160 delta d |B| -> 1.69, so
+    # the inequality fails for every delta slightly above delta_e
     b = _exit_slack_example()
-    r = b.rho * b.n
+    r = b.radius
     assert b.size == 47 and b.codim == 1 and np.sum(b.dist == 23) == 2
-    delta = (1 - (23 - _EL_EPS) / r) * (1 + 1e-9)
-    assert abs(delta - 2.248e-4) < 1e-7 and delta <= 1 / 80
-
-    def inside(s):
-        return int(np.sum(b.dist <= s * r + _EL_EPS))
-
-    annulus = inside(1 + delta) - inside(1 - delta)
+    delta = 1 - 23 / r
+    assert abs(delta - 2.248e-4) < 1e-7 and delta <= Fraction(1, 80)
+    after = delta + Fraction(1, 10**12)
+    lower, upper = math.floor((1 - after) * r), math.floor((1 + after) * r)
+    annulus = int(np.sum((b.dist > lower) & (b.dist <= upper)))
     assert annulus == 2
-    assert round(160 * delta * b.codim * b.size, 2) == 1.69 < annulus
+    assert round(float(160 * delta * b.codim * b.size), 2) == 1.69 < annulus
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_regular checks each exit breakpoint at down + 1e-12, inside the "
-    "_EL_EPS membership slack, so this irregular Bohr set is called regular",
-)
 def test_regular_sees_exit_breakpoint():
     assert is_regular(_exit_slack_example()) is False
 
@@ -158,20 +151,52 @@ def test_regular_sees_exit_breakpoint():
 def _assert_scale_matches_reference(b):
     nu, scaled = find_regular_scale(b)
     ref_nu, ref = reference_find_regular_scale(b)
-    assert nu == ref_nu and scaled.rho == ref.rho and scaled.freqs == ref.freqs
+    assert nu == ref_nu and scaled.radius == ref.radius and scaled.freqs == ref.freqs
     assert np.array_equal(scaled.elements, ref.elements)
     assert np.array_equal(scaled.dist, ref.dist)
+    # a realized distance is never a regular radius, so none is returned
+    assert b.radius == 0 or scaled.radius not in set(b.dist.tolist())
     assert is_regular(b) == reference_is_regular(b)
     assert is_regular(scaled) == reference_is_regular(scaled)
     return nu
 
 
-@given(n=st.integers(0, 2046).map(lambda k: 2 * k + 1), freqs=frequencies,
-       rho=st.floats(0.0, 0.5, exclude_min=True))
+small_odd_n = st.integers(0, 150).map(lambda k: 2 * k + 1)
+
+
+@given(n=small_odd_n, freqs=frequencies, rho=st.floats(0.0, 0.5, exclude_min=True))
 def test_regular_scale_matches_reference(n, freqs, rho):
-    # one sorted distance table per search gives the reference's nu, radius
-    # and elements bit for bit
-    _assert_scale_matches_reference(bohr_set(n, freqs, rho))
+    # the distance counts give the reference's nu, radius and elements bit for bit
+    b = bohr_set(n, freqs, rho)
+    _assert_scale_matches_reference(b)
+    assert is_regular(b) == brute_is_regular(b)
+
+
+@st.composite
+def exact_radius_bohr_sets(draw):
+    n = draw(small_odd_n)
+    freqs = tuple(sorted({r % n for r in draw(frequencies)}))
+    d = len(freqs)
+    # small denominators put the radius on a distance, halfway between two, or
+    # a breakpoint on delta = 1/(80d) exactly
+    den = draw(st.sampled_from([1, 2, 80 * d - 1, 80 * d + 1]) | st.integers(1, 1000))
+    num = draw(st.integers(0, n * den // 2))
+    return _from_dist(n, freqs, Fraction(num, den), _dist_table(n, freqs))
+
+
+@given(b=exact_radius_bohr_sets())
+def test_regular_matches_brute_force_at_exact_radii(b):
+    assert is_regular(b) == reference_is_regular(b) == brute_is_regular(b)
+    _assert_scale_matches_reference(b)
+
+
+def test_realized_radius_is_never_regular():
+    # the exit at delta = 0 leaves the elements at distance R in the annulus
+    # against a right side that tends to 0
+    b = bohr_set(101, {1}, 0.1)
+    realized = _from_dist(101, b.freqs, Fraction(10), b.dist)
+    assert is_regular(b) and b.size == realized.size == 21
+    assert not is_regular(realized) and not brute_is_regular(realized)
 
 
 @pytest.mark.parametrize("n, freqs, rho, below_one", [
@@ -181,16 +206,16 @@ def test_regular_scale_matches_reference(n, freqs, rho):
     (2197, (807869, 832180), 0.03230162618093252, True),
     (2941, (432154,), 0.41165955155269873, True),
     (3021, (42903, 461691, 511739), 0.04865627131994499, True),
-    # the chosen radius changes without the delta just past an exit breakpoint
+    # R lies 0.012 above the realized distance 1040, which is never a regular
+    # radius; the search settles on the midpoint 1039.5
     (2555, (56021, 993605, 88073), 0.40704976038712765, True),
     # the verdict changes with |B| one short
     (87, (783311, 191252, 406557), 0.22948817747379702, False),
-    # a distance whose down breakpoint lies within 1e-12 below 1/(80d)
+    # an exit breakpoint 6.6e-13 below 1/(80d)
     (9, (6, 7), 0.3354297693918121, False),
-    # six distances lie on the sphere of radius (1 + 1/(80d)) r, but their up
-    # breakpoint rounds above 1/(80d): only the delta = 1/(80d) candidate
-    # counts them, and it decides the verdict
-    (9, (6, 7), 0.33126293995859213, True),
+    # the six elements at distance 3 enter at delta = 1/(80d) + 1.2e-17, past
+    # the range, so the full radius is regular
+    (9, (6, 7), 0.33126293995859213, False),
 ])
 def test_regular_scale_edge_cases_match_reference(n, freqs, rho, below_one):
     assert (_assert_scale_matches_reference(bohr_set(n, freqs, rho)) < 1) == below_one
@@ -229,7 +254,7 @@ def test_sumset_matches_unique_reference():
         for size in sorted({1, min(2, n), max(1, n // 3), n}):
             a = np.sort(rng.choice(n, size=size, replace=False))
             ref = np.unique((a[:, None] + a[None, :]) % n)
-            phi = phi_measure(BohrSet(n, (), 0.0, np.zeros(n, dtype=np.int64), a))
+            phi = phi_measure(BohrSet(n, (), Fraction(0), np.zeros(n, dtype=np.int64), a))
             assert np.array_equal(np.flatnonzero(phi), ref)
     for freqs, rho in (({3}, 0.05), ({5, 17}, 0.2), ({1, 2, 40}, 0.3)):
         b = bohr_set(1009, freqs, rho)

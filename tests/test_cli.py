@@ -176,20 +176,20 @@ def test_construct_behrend(tmp_path):
 # writes; they hold only integers, booleans and strings (the version among
 # them), so the bytes do not depend on the machine
 BEHREND_SHA256 = {
-    1: ("7e35e27f9745a1d2038ac37fad8da7b56c7227df0e78a61e777457f7218158cf",
-        "b68cca2c6e5ef67f4742015bc2bf931e8b8e08b99848026b93c4f65b51d1450f"),
-    27: ("dc584c86c1d39f15ca70700ea8e4161ab29f968fb0f5fcd0edd392c8afeac958",
-         "aefb601419814a2488e990809cbee30caf1e2c37019c004c76d1ad36d84f335d"),
-    32: ("b6a8d0f1d96361386c980f177a168b0d72095f5d7cedd59fd502ae23753919bd",
-         "4efbce0ea096a09d156320c13655ff8b65f78d7abd6fa35af7ea02accd4d0018"),
-    40: ("d0a3f4a17d8df935994f6db8a760e437ccf96b0c40627cdd4a74b737878ff551",
-         "7866c32ccd96bcf0a98996eb343f23cb1218fd271685f5bf91366f4d433c09ba"),
-    41: ("85c93e843e8151bf9054b1dfe445dbf450c504ec77034eee19b04d66c3fef81f",
-         "2bc4aa2b62d53b4ef77b59b13626a03da38272c043e8bb398e362cbf93b61eff"),
-    100: ("4c916df706278d7e75d3dc1195c017cb3e7e698575b745a1e9ce5e8067cb74f6",
-          "3c5c327ded65115e6512a382ed670c30c044589f952d88586637c158aa062831"),
-    100000: ("bfbd238856695b46866b3f6a05ab7a92fc7333bd9538b6cf60fc224ffa2a3bcd",
-             "df3262e7cd3c0b27974e8a2838b1f631adb95baa68a3cc3e0a439b239381e93c"),
+    1: ("d51775d89dcf3166cf38ff887523793c565c7bc6ce8202c14e7fc4a7859372a5",
+        "2e3c3ddb3b8c9c2d3d2d24daff04e1d7dc42cd71b09185d03a8a09545151b738"),
+    27: ("fbc4b014248c03596bccd4a184d7cf1748405f8d21fd44df3166345e0bcd8061",
+         "b7a584dcba108fba45c94d30a304ec25e00a260b06cb69c5e45f430d8285caa8"),
+    32: ("94f257a7516145598af9d5e06aee139ec8894b1535f965b71ca13387410bed1b",
+         "891aee1028b24639112d1c953b8ad71bea3d6c50828cb7ae92550762e8c56f44"),
+    40: ("2b2282921fbb528d2ca0fa9a17d90d9f84e9f5629a6abe9eb53468cfa61bd328",
+         "d2733d021d3d62fda498f4e7a7b76a68ef5e3108a77757a8b7e71297309b05a0"),
+    41: ("1b43b47a5a15fb54360673bff6a1ed6b678e6949663fce45a0e8a140fb900064",
+         "47645938e0114b85f6131fd03d7802f7707163458d849d9276f0cc63b7c76648"),
+    100: ("073fcf7ff5f126c3131a0cf5fd02ab6b77438cd58afa260421fad4fdf14f97eb",
+          "332d5ae69f0b9ee5ba3a2abb3a3da23eade349b3c1a4503c5f3d689030832f05"),
+    100000: ("2a101f4106c578c713ee7b187a7064191d92e4d8082d0246dae30303aa928f5c",
+             "aa94e7c42fa640f58386dd3b2184a2ffbfedca6fd1d3ed7c8c852298e20b33d0"),
 }
 
 
@@ -205,9 +205,9 @@ def test_construct_behrend_golden_bytes(tmp_path, n):
 # integers (|A|/n and the 3-AP count over n^2), so the bytes do not depend on
 # the machine.  The .cert.json is not pinned: its bound goes through np.log2.
 LOWAP_SHA256 = {
-    55: "a7bdd421108d4b83c037085c375d6bc29e69138170e563cc981287ac4874ab41",
-    101: "6b1fb13581a7b11ce1882281298a89d8e780aa3ebc37a244c13e77a2c7c68f29",
-    1009: "082ac6564fab69ee46c80462f68da7f7539bae7f69ad1ffec152d5bd493a2a70",
+    55: "c8489d6b9ab2da7585d888f8471f70910ce0899fa4db7719cb8cb6b80ab50e99",
+    101: "c5fc20e09ddbd509b063005d195cbdd32a62a9caf3e471b2df1b10678e42bf2d",
+    1009: "bc5687ce5b7142e0286770ece11a2ab0952f724de6484a0311ac66d1e7022db6",
 }
 
 
