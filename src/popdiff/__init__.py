@@ -23,4 +23,4 @@ if "numpy" not in sys.modules and not any(
 ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -44,13 +44,19 @@ _PAIR_BLOCK = 1 << 18
 # of n: pairs cost |supp|^2 and windows n^2, breaking even near 0.22-0.28 n
 _PAIR_CROSSOVER = 0.2
 
-VERDICT_SLACK = 1e-12  # a verdict passes a density up to target + VERDICT_SLACK
+VERDICT_SLACK = 1e-12  # relative: a verdict passes a value up to target (1 + VERDICT_SLACK)
 
 
 def within(value, target):
-    """value <= target + VERDICT_SLACK, elementwise on arrays: the comparison
-    behind every verdict, and the one reader of the slack."""
-    return value <= target + VERDICT_SLACK
+    """value <= target + VERDICT_SLACK |target|, elementwise on arrays: the
+    comparison behind every verdict and check, at the target's own scale, and
+    the one reader of the slack."""
+    return value <= target + VERDICT_SLACK * abs(target)
+
+
+def close(value, target) -> bool:
+    """``within`` in both directions: value equals target up to the slack."""
+    return bool(within(value, target) and within(target, value))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class LowAPSubset:
     elements: np.ndarray
     density: float
     bound: float
-    source_interval: int
     block_width: int  # 0 for the windowed branch
 
     @cached_property
@@ -115,7 +114,6 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
                 elements=np.asarray(sorted(elems), dtype=np.int64),
                 density=len(elems) / n,
                 bound=bound,
-                source_interval=n_a,
                 block_width=0 if n <= 4 * n_a else n // (4 * n_a),
             )
     raise InfeasibleError(f"no admissible interval bound yields density {alpha} in Z_{n}")
@@ -157,7 +155,7 @@ def scaled_indicator(x_set: LowAPSubset, alpha_star: float) -> DensityFn:
     if size == 0:
         raise DomainError("cannot scale an empty set")
     peak = alpha_star * n / size
-    if peak > 1 + 1e-12:
+    if not within(peak, 1.0):
         raise DomainError(
             f"scaling {peak:.6g} exceeds 1; the subset is too sparse for mean {alpha_star}"
         )

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aps import ap_sums, worst_difference
+from .aps import ap_sums, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
 from .fourier import convolve, dft, dft_values
@@ -106,16 +106,16 @@ def _regular(at_most: list, radius: Fraction, d: int) -> bool:
     The annulus {(1-delta)R < D <= (1+delta)R} grows only at an entry delta =
     D/R - 1, where it holds D, or just after an exit delta = 1 - D/R, where D
     has left, and the right side grows with delta; so the inequality is checked
-    in integers at delta = 1/(80d) and at both for every integer D in the
-    window (an unrealized one only adds a check the definition also makes).
+    in integers at both for every integer D in the window (an unrealized one
+    only adds a check the definition also makes).  That covers delta =
+    1/(80d) too: the annulus there is the one just after the largest
+    breakpoint at or below it, or empty, against a right side no smaller.
     """
     p, q = radius.numerator, radius.denominator
     size = at_most[p // q]
     two_r = 2 * p // q  # floor(2R), so floor(2R - D) = two_r - D
     lo = (80 * d - 1) * p // (80 * d * q)  # floor((1 - 1/(80d)) R)
     hi = (80 * d + 1) * p // (80 * d * q)  # floor((1 + 1/(80d)) R)
-    if at_most[hi] - at_most[lo] > 2 * size:  # the right side at 1/(80d) is 2|B|
-        return False
     for t in range(lo + 1, hi + 1):
         if t * q > p:  # entry: (1 - delta)R = 2R - t
             count = at_most[t] - at_most[two_r - t]
@@ -229,7 +229,7 @@ def pick_increment_index(a_seq, alpha: float, epsilon: float) -> int | None:
     """
     seq = [float(v) for v in a_seq]
     for v in seq:
-        if not alpha**3 - 1e-9 <= v <= 1 + 1e-9:
+        if not (within(alpha**3, v) and within(v, 1.0)):
             raise DomainError(f"sequence value {v} outside [alpha^3, 1]")
     horizon = max(1, math.ceil(2 * (1 - math.log2(epsilon))))  # 2/eps may overflow
     for i in range(1, len(seq)):

@@ -170,6 +170,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_upper(args) -> int:
+    from .aps import within
     from .bohr import geometric_schedule, strict_schedule, upper_search
     from .domains import load_fn
 
@@ -186,7 +187,7 @@ def cmd_upper(args) -> int:
     obj["meta"] = _meta(args, {"epsilon": args.epsilon, "schedule": args.schedule})
     _write_json(f"{args.out}.trace.json", obj)
     alpha = f.mean()
-    return EXIT_OK if trace.density >= alpha**3 - args.epsilon else EXIT_VERIFY
+    return EXIT_OK if within(alpha**3 - args.epsilon, trace.density) else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:
@@ -195,6 +196,8 @@ def cmd_verify(args) -> int:
 
     f = load_fn(args.infile)
     alpha = args.alpha if args.alpha is not None else f.mean()
+    if _cube_underflows(alpha):
+        raise DomainError(f"input mean {alpha!r} {_CUBE_RULE}")
     target = alpha**3 * (1 - args.epsilon) if args.bound == "rel" else alpha**3 - args.epsilon
     verdict = worst_difference(ap_profile(f, OVER_WINDOW), target)
     print(
@@ -248,11 +251,23 @@ def _tolerance(text: str) -> float:
     return value
 
 
+_CUBE_RULE = f"has a cube below {sys.float_info.min!r}, where no density verdict means anything"
+
+
+def _cube_underflows(alpha: float) -> bool:
+    """A positive mean whose cube, the scale of every target, is not a normal
+    float (alpha below about 2.813e-103); a zero mean is an empty set, whose
+    verdict stays exact."""
+    return 0 < alpha and alpha**3 < sys.float_info.min
+
+
 def _mean(text: str) -> float:
     # the mean of a [0, 1]-valued function
     value = float(text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    if _cube_underflows(value):
+        raise argparse.ArgumentTypeError(f"{text} {_CUBE_RULE}")
     return value
 
 
@@ -266,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("strict", "desk"), default="desk")
 
     p = sub.add_parser("scan", help="per-difference density profile of an input artifact")
-    common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--norm", choices=NORM_FLAGS, default="over-window")

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aps import Verdict, ap_profile, ap_sums, within, worst_difference
+from .aps import Verdict, ap_profile, ap_sums, close, within, worst_difference
 from .behrend import ALPHA0, low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
@@ -192,21 +192,13 @@ def step1_step2_tile(params: IntervalParams, g: DensityFn) -> DensityFn:
     want = params.alpha
     got = f2.mean()
     # N' = p*q exactly, so the tiled mean is alpha' * N'/N = alpha exactly
-    if abs(got - want) > 1e-9:
+    if not close(got, want):
         raise DomainError(f"tiled mean {got} != alpha {want} beyond rounding")
     return f2
 
 
 # ---------------------------------------------------------------------------
 # step 3: overlay
-
-
-def _common_classes(g: DensityFn) -> tuple[float, np.ndarray]:
-    """The most frequent value alpha* of g, rounded to 12 decimals, and the
-    residues T where g sits at it."""
-    vals, counts = np.unique(np.round(g.values, 12), return_counts=True)
-    alpha_star = float(vals[counts.argmax()])
-    return alpha_star, np.flatnonzero(np.abs(g.values - alpha_star) <= 1e-9)
 
 
 def step3_overlay(
@@ -290,6 +282,8 @@ def construct_interval_fn(
     only after the overlay budget is spent.  Each product attempt tiles one
     vector and builds alpha*, T and xi once; every overlay attempt redraws
     only the affine maps and overwrites the classes of T on that vector.
+    alpha* is the product's alpha', which g holds as exact copies, so T is
+    where g equals it.
     Raises RetriesExhausted carrying the lowest failing scan verdict when
     every combination fails.
     """
@@ -308,11 +302,10 @@ def construct_interval_fn(
         product_used = p_try + 1
         g_fn, _ = construct_product(prod_params, seed=seed + 7919 * p_try, max_retries_per_level=10)
         f2 = step1_step2_tile(params, g_fn)
-        alpha_star, t_classes = _common_classes(g_fn)
-        if not alpha_star:  # g's common value alpha' rounds to 0 at 12 decimals
-            raise InfeasibleError(f"common value alpha*=0 at 12 decimals for alpha={alpha}; raise alpha")
+        alpha_star = prod_params.alpha_prime
+        t_classes = np.flatnonzero(g_fn.values == alpha_star)
         x_set = low_ap_density_subset(params.p, min(alpha_star, ALPHA0))
-        if alpha_star > x_set.density * (1 + 1e-12):
+        if not within(alpha_star, x_set.density):
             # a subset asked for at alpha* <= ALPHA0 always reaches alpha*
             raise InfeasibleError(
                 f"common value alpha*={alpha_star:.4g} exceeds alpha0={ALPHA0} and the "
@@ -323,7 +316,7 @@ def construct_interval_fn(
             overlay_used += 1
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, p_try, o_try]))
             step3_overlay(f2, params, t_classes, xi, rng)
-            if abs(f2.mean() - alpha) > 1e-9:
+            if not close(f2.mean(), alpha):
                 raise DomainError(f"overlay broke the mean: {f2.mean()} vs {alpha}")
             verdict = scan_interval_fn(f2.values, target)
             if best is None or verdict.max_offdiag < best.max_offdiag:

@@ -45,8 +45,6 @@ from .modelfn import MIN_MODEL_PRIME, build_model_fn, model_support
 
 STRICT_EPS_MAX = 20.0**-9
 
-_ALPHA_PRIME_TOL = 1e-12
-
 
 def mu_schedule(ap: float, epsilon: float, s: int) -> tuple:
     """mu_1 = eps^(1/4), mu_i = 150^(i-1) * ap^-6 * eps^(1/4), for ap = alpha'."""
@@ -127,7 +125,7 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
         return rep
 
     ap = params.alpha_prime
-    rep.add("boost-in-range", ap <= 1 + 1e-12, f"alpha'={ap:.6g}", waivable=False)
+    rep.add("boost-in-range", within(ap, 1.0), f"alpha'={ap:.6g}", waivable=False)
     if len(fac) >= 2:
         rep.add("model-mean-in-range", ap <= 0.5,
                 f"alpha'={ap!r} must be <= 1/2 to host the model profile", waivable=False)
@@ -216,7 +214,9 @@ def random_modify_level(
     """
     n_prev = state.n
     ap = state.alpha_prime
-    avail = np.flatnonzero(np.abs(state.values - ap) <= _ALPHA_PRIME_TOL)
+    # alpha'-points are copies of alpha' (np.full, np.tile), so they compare
+    # exactly; a model value g(y) is alpha' only at y/m in {1/6, 1/2, 5/6}
+    avail = np.flatnonzero(state.values == ap)
     want = min(int(mu_next * n_prev), len(avail))
     chosen = avail[:want]
 
@@ -405,7 +405,7 @@ def construct_product(
 
     # verdict is the last level's passing verdict
     mean_cube = float((state.values**3).mean())
-    frac = float(np.mean(np.abs(state.values - ap) <= _ALPHA_PRIME_TOL))
+    frac = float(np.mean(state.values == ap))
     cert = ConstructionCert(
         seed=seed,
         mode=params.mode,
@@ -423,7 +423,7 @@ def construct_product(
         conclusions={
             "max_offdiag_le_target": verdict.passed,
             "mean_cube_le_3_2_alpha3": bool(within(mean_cube, 1.5 * alpha**3)),
-            "alpha_star_in_window": bool(alpha - 1e-12 <= ap <= alpha * (1 + eps**0.25) + 1e-12),
+            "alpha_star_in_window": bool(within(alpha, ap) and within(ap, alpha * (1 + eps**0.25))),
             "fraction_ge_3_4": bool(frac >= 0.75),
         },
     )

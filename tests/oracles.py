@@ -16,12 +16,15 @@ from popdiff.fourier import dft_values, idft
 from popdiff.modelfn import build_model_fn, model_support
 from popdiff.interval import IntervalParams, SampleCert
 from popdiff.product import (
-    _ALPHA_PRIME_TOL,
     MIN_MODEL_PRIME,
     STRICT_EPS_MAX,
     FeasibilityReport,
     LevelState,
 )
+
+# the tolerance the reference picks alpha'-points with; the package compares
+# them exactly, as copies of alpha'
+_ALPHA_PRIME_TOL = 1e-12
 
 
 def smooth_tuple_ok(supp, a, n: int) -> tuple:

@@ -1,10 +1,14 @@
 """Per-difference and total density engines and the worst-difference rule."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import popdiff
 import popdiff.aps
 import popdiff.domains
 from popdiff.aps import (
@@ -30,13 +34,22 @@ from popdiff.domains import (
     Spectrum,
     cyclic,
     interval,
+    save_fn,
 )
-from popdiff.behrend import LowAPSubset
-from popdiff.errors import DomainError
+from popdiff.behrend import LowAPSubset, scaled_indicator
+from popdiff.bohr import pick_increment_index
+from popdiff.cli import main
+from popdiff.errors import DomainError, InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft, idft
-from popdiff.interval import scan_interval_fn
-from popdiff.modelfn import build_model_fn
-from popdiff.product import ProductParams, construct_product
+from popdiff.interval import (
+    IntervalParams,
+    choose_interval_params,
+    construct_interval_fn,
+    scan_interval_fn,
+    step1_step2_tile,
+)
+from popdiff.modelfn import build_model_fn, verify_model_properties
+from popdiff.product import ProductParams, construct_product, feasibility
 from oracles import reference_pair_sums, reference_perdiff_table_sparse
 
 
@@ -277,35 +290,134 @@ def test_worst_difference_rule():
     assert worst_difference(APProfile([0.5], GROUP, 1), 0.0) == Verdict(None, None, 0.0, True)
     for n in (1, 2):
         assert worst_difference(APProfile([0.5], OVER_N, n), 0.0) == Verdict(None, None, 0.0, True)
-    # passed flips at target + VERDICT_SLACK
-    prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
-    assert worst_difference(prof, 0.35).passed
-    assert worst_difference(prof, 0.35 - VERDICT_SLACK / 2).passed
-    assert not worst_difference(prof, 0.35 - 2 * VERDICT_SLACK).passed
+    # passed flips at target (1 + VERDICT_SLACK), at any scale
+    table = np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1])
+    for scale in (1.0, 2.0**-900):
+        prof = APProfile(scale * table, GROUP, 7)
+        assert worst_difference(prof, scale * 0.35).passed
+        assert worst_difference(prof, scale * 0.35 / (1 + VERDICT_SLACK / 2)).passed
+        assert not worst_difference(prof, scale * 0.35 / (1 + 2 * VERDICT_SLACK)).passed
     # a verdict holds builtins only, so that every artifact serializes it as is
     v = worst_difference(prof, np.float64(0.3))
     assert type(v.argmax_d) is int and type(v.max_offdiag) is float and type(v.passed) is bool
 
 
-def test_verdict_slack_has_one_reader(monkeypatch):
-    # every verdict reads aps.VERDICT_SLACK when it compares, so widening the
-    # slack turns each of these failures into a pass
+def test_verdict_slack_has_one_reader(monkeypatch, tmp_path):
+    # every verdict and check reads aps.VERDICT_SLACK when it compares, so
+    # widening the slack to 5 (a target passes up to 6 times itself) turns
+    # each of these failures into a pass
     prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
-    low = LowAPSubset(7, np.array([0]), 1 / 7, bound=0.01, source_interval=1, block_width=0)
+    low = LowAPSubset(7, np.array([0]), 1 / 7, bound=0.01, block_width=0)
     low.ap_density = 0.05  # stands in for the count that ap_density caches
-    boost = ProductParams(alpha=0.25, epsilon=8e-3, factors=(5,))  # mean cube 1.5625 alpha^3
+    # mean cube 1.5625 alpha^3, and alpha' = 1.25 alpha above alpha (1 + eps^(1/4))
+    boost = ProductParams(alpha=0.25, epsilon=1e-3, factors=(5,))
+    tiled = IntervalParams(15, 0.3, 1e-3, "desk", p=3, q=5, factors=(5,), n_prime=15, beta=0.0)
+    model = build_model_fn(0.25, 101)
+    model.fn.values[0] = 0.3  # the mean moves by 0.3 / 101
+    spike = np.full(7, 0.1)
+    spike[0] = 1.0  # density 0.0049 at every d, below alpha^3 - eps = 0.0109
+    save_fn(DensityFn(cyclic(7), spike), tmp_path / "f.json")
+    upper = ["upper", "--in", str(tmp_path / "f.json"), "--epsilon", "1e-3", "--rho0", "0.3",
+             "--out", str(tmp_path / "t")]
+
+    def no_error(fn):
+        try:
+            fn()
+        except (DomainError, InfeasibleError):
+            return False
+        except RetriesExhausted:  # every check passed and the scan ran
+            pass
+        return True
 
     def verdicts():
+        conclusions = construct_product(boost, seed=42)[1].conclusions
         return (
             worst_difference(prof, 0.3).passed,
             scan_interval_fn(np.full(101, 0.5), 0.12).passed,  # every d has density 1/8
             low.ok,
-            construct_product(boost, seed=42)[1].conclusions["mean_cube_le_3_2_alpha3"],
+            conclusions["mean_cube_le_3_2_alpha3"],
+            conclusions["alpha_star_in_window"],
+            feasibility(ProductParams(0.9, 1e-3, (5,))).checks[1].status == "pass",  # alpha' 1.125
+            no_error(lambda: scaled_indicator(low, 0.2)),  # peak 1.4
+            no_error(lambda: step1_step2_tile(tiled, DensityFn(cyclic(5), np.full(5, 0.25)))),
+            # alpha* = 0.3 against a low-AP subset of density about 0.1, then the
+            # overlay's mean against alpha
+            no_error(lambda: construct_interval_fn(
+                choose_interval_params(2000, 0.25, 1e-3), 0, 1, 1)),
+            verify_model_properties(model).ok,
+            no_error(lambda: pick_increment_index([1.5], 0.5, 0.1)),
+            main(upper) == 0,
         )
 
-    assert verdicts() == (False, False, False, False)
-    monkeypatch.setattr(popdiff.aps, "VERDICT_SLACK", 0.1)
-    assert verdicts() == (True, True, True, True)
+    assert not any(verdicts())
+    monkeypatch.setattr(popdiff.aps, "VERDICT_SLACK", 5.0)
+    assert all(verdicts())
+
+
+def _perturbed_model(alpha, n=101):
+    """The model function plus 0.1 alpha cos(6 pi x / n): its second and cube
+    moments move by about 1 %."""
+    m = build_model_fn(alpha, n)
+    m.fn.values = m.values + 0.1 * alpha * np.cos(6 * np.pi * np.arange(n) / n)
+    return m
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 0.9, 1.0, 1.1]),
+    st.sampled_from([5, 7, 11]),
+    st.sampled_from([1e-3, 8e-3, 0.2]),
+)
+def test_verdicts_do_not_depend_on_scale(k, seed, frac, m1, eps):
+    # values scaled by 2^-k, and targets by 2^-3k, are exact copies of the
+    # unscaled problem, so no pass/fail may change with k
+    vals = np.random.default_rng(seed).integers(0, 11, 3001) / 100  # mean about 0.05
+    worst = worst_difference(ap_profile(DensityFn(interval(3001), vals), OVER_WINDOW)).max_offdiag
+
+    def outcomes(s):
+        target = frac * worst * s**3
+        prof = ap_profile(DensityFn(interval(3001), s * vals), OVER_WINDOW)
+        try:
+            product = construct_product(ProductParams(0.25 * s, eps, (m1,)), seed=0)[1].conclusions
+        except RetriesExhausted as exc:  # level 1 fails its target
+            product = exc.log["best_verdict"].passed
+        return (
+            worst_difference(prof, target).passed,
+            scan_interval_fn(s * vals, target).passed,
+            product,
+            verify_model_properties(build_model_fn(0.25 * s, 101)).ok,
+            verify_model_properties(_perturbed_model(0.25 * s)).ok,
+        )
+
+    assert outcomes(2.0**-k) == outcomes(1.0)
+
+
+def test_no_float_slack_outside_the_named_constants():
+    # every comparison takes its slack from VERDICT_SLACK through within; the
+    # other small float literals are named thresholds with their own roles
+    named = {"VERDICT_SLACK", "_VALUE_SLACK", "SUPPORT_EPS", "SPARSE_TOL"}
+    found = []
+    for path in sorted(Path(popdiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in named for t in node.targets
+            ):
+                allowed.add(id(node.value))
+            if isinstance(node, ast.ClassDef) and node.name == "SuiteReport":
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "failures":
+                        allowed.update(id(v) for v in fn.args.defaults)
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < node.value < 1e-6 and id(node) not in allowed
+        ]
+    assert found == []
 
 
 @given(

@@ -14,7 +14,7 @@ from oracles import (
     reference_find_regular_scale,
     reference_is_regular,
 )
-from popdiff.aps import per_diff_density, total_3ap_density
+from popdiff.aps import VERDICT_SLACK, per_diff_density, total_3ap_density
 from popdiff.bohr import (
     BohrSet,
     _dist_table,
@@ -306,8 +306,8 @@ def test_pick_increment_index():
     assert pick_increment_index([a3], alpha, 2.0) is None
     assert pick_increment_index([a3], alpha, 3.0) is None
     # 2/eps overflows at eps = 1e-320, but the horizon stays finite (2129): a
-    # run inside the 1e-9 slack below alpha^3 never qualifies and then fails
-    low = [a3 - 5e-10] * 2200
+    # run inside the relative slack below alpha^3 never qualifies and then fails
+    low = [a3 * (1 - VERDICT_SLACK / 2)] * 2200
     assert pick_increment_index(low[:2129], alpha, 1e-320) is None
     with pytest.raises(RegularityError):
         pick_increment_index(low, alpha, 1e-320)

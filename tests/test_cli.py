@@ -54,6 +54,8 @@ def test_scan_constant_rows(tmp_path):
         ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--mode", "desk"],
         ["verify", "--in", "g.fn.json", "--epsilon", "0.05", "--bound", "relative"],
         ["upper", "--in", "g.fn.json", "--epsilon", "0.05", "--out", "t", "--decay", "0.5"],
+        ["scan", "--in", "g.fn.json", "--out", "s", "--seed", "1"],
+        ["scan", "--in", "g.fn.json", "--out", "s", "--mode", "desk"],
     ],
 )
 def test_removed_options_exit_2(argv):
@@ -152,7 +154,7 @@ def test_construct_model_certificate_checks_properties(tmp_path, monkeypatch):
     from popdiff.modelfn import ModelReport, PropertyCheck
 
     # the CLI imports verify_model_properties from modelfn when the command runs
-    failing = ModelReport(0.25, 101, [PropertyCheck("mean", False, 0.3, 0.25, 1e-9)])
+    failing = ModelReport(0.25, 101, [PropertyCheck("mean", False, 0.3, 0.25)])
     monkeypatch.setattr(modelfn, "verify_model_properties", lambda m: failing)
     out = tmp_path / "g"
     assert main(["construct", "--kind", "model", "--alpha", "0.25", "--n", "101",
@@ -176,20 +178,20 @@ def test_construct_behrend(tmp_path):
 # writes; they hold only integers, booleans and strings (the version among
 # them), so the bytes do not depend on the machine
 BEHREND_SHA256 = {
-    1: ("d51775d89dcf3166cf38ff887523793c565c7bc6ce8202c14e7fc4a7859372a5",
-        "2e3c3ddb3b8c9c2d3d2d24daff04e1d7dc42cd71b09185d03a8a09545151b738"),
-    27: ("fbc4b014248c03596bccd4a184d7cf1748405f8d21fd44df3166345e0bcd8061",
-         "b7a584dcba108fba45c94d30a304ec25e00a260b06cb69c5e45f430d8285caa8"),
-    32: ("94f257a7516145598af9d5e06aee139ec8894b1535f965b71ca13387410bed1b",
-         "891aee1028b24639112d1c953b8ad71bea3d6c50828cb7ae92550762e8c56f44"),
-    40: ("2b2282921fbb528d2ca0fa9a17d90d9f84e9f5629a6abe9eb53468cfa61bd328",
-         "d2733d021d3d62fda498f4e7a7b76a68ef5e3108a77757a8b7e71297309b05a0"),
-    41: ("1b43b47a5a15fb54360673bff6a1ed6b678e6949663fce45a0e8a140fb900064",
-         "47645938e0114b85f6131fd03d7802f7707163458d849d9276f0cc63b7c76648"),
-    100: ("073fcf7ff5f126c3131a0cf5fd02ab6b77438cd58afa260421fad4fdf14f97eb",
-          "332d5ae69f0b9ee5ba3a2abb3a3da23eade349b3c1a4503c5f3d689030832f05"),
-    100000: ("2a101f4106c578c713ee7b187a7064191d92e4d8082d0246dae30303aa928f5c",
-             "aa94e7c42fa640f58386dd3b2184a2ffbfedca6fd1d3ed7c8c852298e20b33d0"),
+    1: ("c0ab5dcb87528d70e872f06a25e654e8f159b94b1a0052050f5572b791eb491e",
+        "c048bcb4e452b2e50892fa724d7c9b02dba256742d8b80180dc040e72de69a19"),
+    27: ("3d50bedd424e97ed2e893bece460924d443218a3a5139003704c363310a656e6",
+         "42bd62e6a6d2e27d40d42aa6afe49280b0cc99f4f9f814404acc6bf0137bcf2d"),
+    32: ("5e7e1f986d7a0c21cd5a8737a1e1c07b84ce97b43e7cfd377cc230e0ab2c1917",
+         "97f810b581e0d4423e516691977e9a6f9a43c5a9c8f6eb91d087dfddd04a37f6"),
+    40: ("525f05b56818832598585aaab024d99e4cf0d2abf88ef3f00e455749599a0ec4",
+         "4054e6689085919b97e80c9b1d5c5408c1ce22f0fb8c3f9a994037d66b87e6f7"),
+    41: ("6eff59bcb29440e462255ed554281d4af167e4a1efd600a3844f0940a9f2a086",
+         "84ae356d57744f97f20536b03447394261457484323bd1c66b841263993796cf"),
+    100: ("039eae294b77cb32633f76deb79d7f8084d9317e5abe1dd8f5adb47cecbd7fb2",
+          "46ffb101e7bf16794884cd50173a9fcb97ee1cd789376fa38809c25eb2a7fb7e"),
+    100000: ("417d49e965c5efa614de3c1f831119bb0932e5ba97673b7ae79a8c3a3c38100b",
+             "61fef4b8a379a4515caf708880db113348205d5f8d8a3510341c79ff926b1b80"),
 }
 
 
@@ -205,9 +207,9 @@ def test_construct_behrend_golden_bytes(tmp_path, n):
 # integers (|A|/n and the 3-AP count over n^2), so the bytes do not depend on
 # the machine.  The .cert.json is not pinned: its bound goes through np.log2.
 LOWAP_SHA256 = {
-    55: "c8489d6b9ab2da7585d888f8471f70910ce0899fa4db7719cb8cb6b80ab50e99",
-    101: "c5fc20e09ddbd509b063005d195cbdd32a62a9caf3e471b2df1b10678e42bf2d",
-    1009: "bc5687ce5b7142e0286770ece11a2ab0952f724de6484a0311ac66d1e7022db6",
+    55: "6281a395f528e896b1b0f060c93cfb9f9853cc839469b5ffdd6efe1a36572c78",
+    101: "f8ad50b99ebae11ff52fe4e2763d34a6c1a1d370aad5e537ffece32a0feb357d",
+    1009: "3dd4c548c5bbd0735ddfa7650b661e3466fcbd43f26069149e7ba88382d6b0ea",
 }
 
 
@@ -686,3 +688,45 @@ def test_verify_ignores_env_seed(tmp_path, monkeypatch):
     save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "g.fn.json")
     monkeypatch.setenv("POPDIFF_SEED", "abc")
     assert main(["verify", "--in", str(tmp_path / "g.fn.json"), "--epsilon", "0.05"]) == 1
+
+
+def test_scan_ignores_env_seed(tmp_path, monkeypatch):
+    # scan reads neither a seed nor a mode, and its summary records neither
+    save_fn(DensityFn(cyclic(101), np.full(101, 0.25)), tmp_path / "g.fn.json")
+    monkeypatch.setenv("POPDIFF_SEED", "abc")
+    assert main(["scan", "--in", str(tmp_path / "g.fn.json"), "--out", str(tmp_path / "s")]) == 0
+    meta = json.loads((tmp_path / "s.summary.json").read_text())["meta"]
+    assert meta["seed"] is None and meta["mode"] is None
+
+
+def test_small_alpha_verdicts_compare_at_the_targets_scale(tmp_path, capsys):
+    # below alpha ~ 1e-4 an absolute slack passed each of these whatever the
+    # density; compared at the target's scale, each fails as it does at alpha 0.25
+    out = str(tmp_path / "x")
+    assert main(["construct", "--kind", "product", "--factors", "5", "--alpha", "2e-4",
+                 "--epsilon", "8e-3", "--out", out]) == 1  # mean cube 1.5625 alpha^3
+    cert = json.loads(Path(f"{out}.cert.json").read_text())
+    assert cert["conclusions"]["mean_cube_le_3_2_alpha3"] is False
+    # best density 1.77e-15 against a target of 9.99e-16
+    assert main(["construct", "--kind", "interval", "--n", "20000", "--alpha", "1e-5",
+                 "--retries", "2", "--out", out]) == 3
+    assert main(["construct", "--kind", "model", "--alpha", "1e-5", "--n", "101",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", f"{out}.fn.json", "--epsilon", "1e-3"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "2.8e-103"], []])
+def test_verify_rejects_a_mean_whose_cube_underflows(tmp_path, capsys, flags):
+    # every target is of order alpha^3; below the smallest normal float no
+    # verdict means anything, so --alpha and an input mean alike exit 2
+    save_fn(DensityFn(cyclic(101), np.full(101, 2.8e-103)), tmp_path / "g.fn.json")
+    assert exit_code(["verify", "--in", str(tmp_path / "g.fn.json"), "--epsilon", "0.05"]
+                     + flags) == 2
+    assert "has a cube below 2.2250738585072014e-308" in capsys.readouterr().err
+
+
+def test_verify_empty_set_passes_exactly(tmp_path):
+    (tmp_path / "e.set.json").write_text(json.dumps({"elements": [], "N": 50}))
+    assert main(["verify", "--in", str(tmp_path / "e.set.json"), "--epsilon", "0.05"]) == 0

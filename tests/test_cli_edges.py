@@ -41,18 +41,20 @@ CASES = [
 # (argv, exit code, text on stderr): lines that once ended in a traceback or
 # named the wrong alpha
 NAMED = {
-    # alpha^6 underflowed in the level count, a ValueError in desk and strict mode
+    # alpha^6 underflowed in the level count, a ValueError in desk and strict mode;
+    # the mean cube is 1.5625 alpha^3, above the 3/2 alpha^3 conclusion at any scale
     "product-alpha-1e-60": (["construct", "--kind", "product", "--factors", "5", "--alpha", "1e-60"],
-                            EXIT_OK, ""),
+                            EXIT_VERIFY, ""),
     "product-strict-alpha-1e-60": (["construct", "--kind", "product", "--factors", "5",
                                     "--alpha", "1e-60", "--mode", "strict"],
                                    4, "level-count: s=1 vs log150(eps^-1/4 alpha^6 / 8)=-165.5"),
-    # alpha^3 underflowed in seam_tail_fraction, a ZeroDivisionError
+    # alpha^3 underflowed in seam_tail_fraction, a ZeroDivisionError; the
+    # parser now rejects an alpha whose cube is not a normal float
     "interval-n-2000-alpha-1e-160": (["construct", "--kind", "interval", "--n", "2000",
-                                      "--alpha", "1e-160"], 4, "alpha*=0 at 12 decimals for alpha=1e-160"),
-    # alpha* rounds to 0 at 12 decimals and was reported as the alpha passed
+                                      "--alpha", "1e-160"], 2, "1e-160 has a cube below 2.2250738585072014e-308"),
+    # alpha* was rounded to 0 at 12 decimals; now exact, the scan's verdict decides
     "interval-n-20000-alpha-1e-20": (["construct", "--kind", "interval", "--n", "20000",
-                                      "--alpha", "1e-20"], 4, "alpha*=0 at 12 decimals for alpha=1e-20"),
+                                      "--alpha", "1e-20"], 3, "> target 9.99e-61"),
 }
 
 

@@ -29,7 +29,6 @@ from popdiff.domains import OVER_WINDOW, DensityFn, cyclic, interval
 from popdiff.errors import InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft
 from popdiff.interval import (
-    _common_classes,
     _modulus_candidates,
     choose_interval_params,
     construct_interval_fn,
@@ -59,6 +58,13 @@ def build_g(params, seed=1):
         seed=seed,
     )
     return g
+
+
+def common_classes(params, g):
+    """alpha*, the product's alpha', and the residues T where g holds it, as
+    construct_interval_fn takes them."""
+    alpha_star = ProductParams(params.alpha_prime, 4 * params.epsilon, params.factors).alpha_prime
+    return alpha_star, np.flatnonzero(g.values == alpha_star)
 
 
 def test_strict_mode_names_bounds():
@@ -233,7 +239,7 @@ def test_overlay_identity_off_t_and_verbatim():
     g = build_g(p)
     f2 = step1_step2_tile(p, g)
     tile = f2.values.copy()
-    alpha_star, t_classes = _common_classes(g)
+    alpha_star, t_classes = common_classes(p, g)
     x_set = low_ap_density_subset(p.p, min(alpha_star, 0.1))
     xi = scaled_indicator(x_set, alpha_star)
     f3 = step3_overlay(f2, p, t_classes, xi, np.random.default_rng(2))
@@ -433,7 +439,7 @@ def test_steps_match_reference(n_total, q):
     f2 = step1_step2_tile(p, g)
     assert f2.values.tobytes() == reference_step1_step2_tile(p, g).values.tobytes()
     thin = 0.02 if n_total > 10**5 else 1.0
-    alpha_star, t_classes = _common_classes(g)
+    alpha_star, t_classes = common_classes(p, g)
     for seed in range(3):
         xi = DensityFn(cyclic(p.p), 2 * alpha_star * np.random.default_rng(seed).random(p.p))
         want = reference_step3_overlay(f2, p, t_classes, xi, np.random.default_rng([seed, 1]))
@@ -450,7 +456,7 @@ def test_interval_working_set():
     # each add one more.
     p = desk_params(n_total=10**5)
     g = build_g(p)
-    alpha_star, t_classes = _common_classes(g)
+    alpha_star, t_classes = common_classes(p, g)
     xi = scaled_indicator(low_ap_density_subset(p.p, alpha_star), alpha_star)
     rng = np.random.default_rng(0)
     peaks = []
@@ -516,7 +522,7 @@ def test_construct_interval_failure_golden():
         "has density 0.000133999 at d=3 > target 0.000124875"
     )
     assert info.value.log == {
-        "best_verdict": Verdict(3, 0.00013399939049039869, 0.00012487500000000004, False),
+        "best_verdict": Verdict(3, 0.0001339993904893005, 0.00012487500000000004, False),
         "overlay_retries": 4,
         "product_retries": 2,
     }

@@ -137,3 +137,15 @@ def test_verify_properties_pass_and_corrupt():
     rep = verify_model_properties(m)
     assert not rep.ok
     assert any(c.name == "range" and not c.passed for c in rep.checks)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.01, 1e-4])
+def test_verify_properties_flag_a_small_perturbation_at_every_scale(alpha):
+    # 0.1 alpha cos(6 pi x / n) moves the second and cube moments by about 1 %,
+    # far beyond roundoff at every alpha
+    n = 101
+    m = build_model_fn(alpha, n)
+    m.fn.values = m.values + 0.1 * alpha * np.cos(6 * np.pi * np.arange(n) / n)
+    rep = verify_model_properties(m)
+    assert not rep.ok
+    assert {c.name for c in rep.checks if not c.passed} >= {"second-moment", "cube-moment"}
