@@ -15,6 +15,7 @@ smaller denominator).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,13 @@ from .domains import (
 from .errors import DomainError
 from .fourier import dft, idft
 
-# sparse profile path is worthwhile when the support is this small
-_SPARSE_LIMIT = lambda n: max(8, int(np.sqrt(n)))
+# the sparse path is worthwhile when the spectral support has at most
+# max(_SPARSE_MIN, isqrt(n)) frequencies
+_SPARSE_MIN = 8
 
-# the automatic path takes the sparse route only when its error bound is below
-# this, well inside the 1e-8 to which profiles are checked against direct scans
+# the sparse path is taken only when its error bound is at most this times
+# max|v|^3, the scale of the densities, well inside the 1e-8 to which profiles
+# are checked against direct scans
 SPARSE_TOL = 1e-9
 
 # support pairs enumerated per numpy pass, which bounds the working memory
@@ -60,35 +63,94 @@ def close(value, target) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the 3-AP correlation kernel and fixed differences
+# the 3-AP correlation kernel, its backends and the one rule that picks one
+
+EXPLICIT = "explicit differences"
+
+
+def plan(values, diffs=None, cyclic: bool = True, spectrum: Spectrum | None = None) -> tuple:
+    """(backend, reason): how the 3-AP table of ``values`` is computed, and
+    why; the only place a backend is chosen, and a pure function.
+
+    * ``windows``, EXPLICIT: ``diffs`` that leave some d out, one window pass
+      per d, decided without a pass over the values;
+    * ``sparse``, "sparse spectrum": a cyclic full table whose ``spectrum`` has
+      at most max(8, isqrt(n)) frequencies and a ``sparse_error_bound`` at
+      most SPARSE_TOL max|v|^3;
+    * ``pairs``, "sparse indicator": {0,1} values on at most 0.2 n points;
+    * ``windows`` otherwise: "dense indicator", or, for other values, "wide
+      spectrum", "sparse bound above tolerance" or "no spectrum" (none given).
+
+    ``diffs`` that cover every admissible d ask for the full table.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    n = len(v)
+    size = n if cyclic else (n - 1) // 2 + 1
+    if diffs is not None:
+        ds = np.asarray(diffs, dtype=np.int64)
+        if ds.size < size or not np.isin(np.arange(size), ds % n if cyclic else ds).all():
+            return "windows", EXPLICIT
+    why_not_sparse = "no spectrum"
+    if cyclic and spectrum is not None:
+        limit = max(_SPARSE_MIN, math.isqrt(n))
+        if spectrum.support.size > limit:
+            why_not_sparse = "wide spectrum"
+        elif sparse_error_bound(v, spectrum) > SPARSE_TOL * float(np.abs(v).max(initial=0.0)) ** 3:
+            why_not_sparse = "sparse bound above tolerance"
+        else:
+            return "sparse", "sparse spectrum"
+    if np.all((v == 0) | (v == 1)):
+        if np.count_nonzero(v) <= _PAIR_CROSSOVER * n:
+            return "pairs", "sparse indicator"
+        return "windows", "dense indicator"
+    return "windows", why_not_sparse
 
 
 def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
     """S(d) = sum_x v[x] v[x+d] v[x+2d] for each requested d.
 
     ``cyclic`` reads v on Z_n (d mod n, default every d); otherwise v lives on
-    [N], x runs over [N-2d] and d lies in 0..(N-1)//2 (the default).  Each d
-    is one window pass, so its value does not depend on the other d's; a full
-    cyclic table mirrors d <= n/2, as S(n-d) = S(d) (substitute x -> x+2d).
-    The full table of a sparse {0,1} vector comes instead from exact counts
-    over support pairs, equal to the window sums bit for bit.
+    [N], x runs over [N-2d] and d lies in 0..(N-1)//2 (the default).  ``plan``
+    picks the backend: explicit ``diffs`` take one window pass per d, so each
+    value does not depend on the other d's; a full table takes exact counts
+    over support pairs for a sparse {0,1} vector, equal to the window sums bit
+    for bit, and otherwise windows, a cyclic one mirroring d <= n/2 as
+    S(n-d) = S(d) (substitute x -> x+2d).
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    dmax = n - 1 if cyclic else (n - 1) // 2
-    if diffs is None and np.count_nonzero(v) <= _PAIR_CROSSOVER * n and np.all((v == 0) | (v == 1)):
+    ds = None
+    if diffs is not None:
+        ds = np.asarray(diffs, dtype=np.int64)
+        if cyclic:
+            ds = ds % n
+        elif ds.size and (ds.min() < 0 or ds.max() > (n - 1) // 2):
+            raise DomainError(f"difference out of range 0..{(n - 1) // 2} for interval of length {n}")
+    backend, reason = plan(v, ds, cyclic)
+    if reason == EXPLICIT:
+        return _window_sums(v, ds, cyclic)
+    table = _full_table(v, cyclic, backend)
+    return table if ds is None else table[ds]
+
+
+def _full_table(v: np.ndarray, cyclic: bool, backend: str) -> np.ndarray:
+    """S at every admissible d by the ``pairs`` or ``windows`` backend."""
+    if backend == "pairs":
         return _pair_sums(v, cyclic)
-    ds = np.arange(min(dmax, n // 2) + 1) if diffs is None else np.asarray(diffs, dtype=np.int64)
-    if cyclic:
-        ds = ds % n
-    elif ds.size and (ds.min() < 0 or ds.max() > dmax):
-        raise DomainError(f"difference out of range 0..{dmax} for interval of length {n}")
+    n = len(v)
+    out = _window_sums(v, np.arange((n // 2 if cyclic else (n - 1) // 2) + 1), cyclic)
+    return np.concatenate([out, out[1 : (n + 1) // 2][::-1]]) if cyclic else out
+
+
+def _window_sums(v: np.ndarray, ds: np.ndarray, cyclic: bool) -> np.ndarray:
+    """S(d) for each d of ``ds`` (in range), one window pass each."""
+    n = len(v)
     t = np.concatenate([v, v, v]) if cyclic else v
     out = np.empty(len(ds))
     for i, d in enumerate(ds.tolist()):
         w = n if cyclic else n - 2 * d
         out[i] = np.einsum("i,i,i->", t[:w], t[d : d + w], t[2 * d : 2 * d + w])
-    return np.concatenate([out, out[1 : (n + 1) // 2][::-1]]) if cyclic and diffs is None else out
+    return out
 
 
 def _pair_sums(v: np.ndarray, cyclic: bool) -> np.ndarray:
@@ -220,31 +282,31 @@ def sparse_error_bound(values: np.ndarray, spectrum: Spectrum) -> float:
 
 
 def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto") -> APProfile:
-    """Per-difference densities over every admissible d.
+    """Per-difference densities over every admissible d, computed by the
+    backend that ``plan`` picks and labelled with it.
 
-    Group profiles pick the sparse-spectrum path automatically when the
-    support is small and ``sparse_error_bound`` is at most ``SPARSE_TOL``,
-    otherwise ``ap_sums``; ``path`` forces one (the tests compare the two).
-    Interval profiles cover 0 <= d < N/2 in the requested normalization.
+    A group profile hands ``plan`` its spectrum, so it may take the sparse
+    path; ``path`` forces ``sparse`` or ``dense`` (windows) instead, with the
+    reason "forced" (the tests compare the two).  Interval profiles cover
+    0 <= d < N/2 in the requested normalization.
     """
     n = f.n
+    v = f.values
     if f.domain.is_group:
         spec = dft(f)
         if path == "auto":
-            small = len(spec.support) <= _SPARSE_LIMIT(n)
-            bounded = small and sparse_error_bound(f.values, spec) <= SPARSE_TOL
-            path = "sparse" if bounded else "dense"
-        if path == "sparse":
-            dens = perdiff_table_sparse(spec)
-        elif path == "dense":
-            dens = ap_sums(f.values) / n
+            backend, reason = plan(v, spectrum=spec)
+        elif path in ("sparse", "dense"):
+            backend, reason = ("sparse" if path == "sparse" else "windows"), "forced"
         else:
             raise DomainError(f"unknown profile path {path!r}")
-        return APProfile(dens, GROUP, n)
+        dens = perdiff_table_sparse(spec) if backend == "sparse" else _full_table(v, True, backend) / n
+        return APProfile(dens, GROUP, n, backend, reason)
     if normalization not in (OVER_N, OVER_WINDOW):
         raise DomainError("interval profiles need an interval normalization")
     w = n if normalization == OVER_N else n - 2 * np.arange((n - 1) // 2 + 1)
-    return APProfile(ap_sums(f.values, cyclic=False) / w, normalization, n)
+    backend, reason = plan(v, cyclic=False)
+    return APProfile(_full_table(v, False, backend) / w, normalization, n, backend, reason)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aps import ap_sums, within, worst_difference
+from .aps import ap_sums, plan, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
 from .fourier import convolve, dft, dft_values
@@ -184,10 +184,9 @@ def smooth(fvals: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 
 
 def _support_sums(fvals: np.ndarray, phi: np.ndarray) -> tuple:
-    """(supp phi, S(s) for s in supp phi); a support that is all of Z_n takes
-    the full table, which mirrors S(n-d) = S(d) or counts support pairs."""
+    """(supp phi, S(s) for s in supp phi), by the backend ``aps.plan`` picks."""
     s = np.flatnonzero(phi)
-    return s, ap_sums(fvals, None if s.size == len(fvals) else s)
+    return s, ap_sums(fvals, s)
 
 
 def _weighted(phi: np.ndarray, s: np.ndarray, sums: np.ndarray) -> float:
@@ -473,7 +472,7 @@ def upper_search(
     support, sums = _support_sums(fv, phi)
     table = np.full(n, -np.inf)
     table[support] = sums / n
-    worst = worst_difference(APProfile(table, GROUP, n))
+    worst = worst_difference(APProfile(table, GROUP, n, *plan(fv, support)))
     return IncrementTrace(
         levels=levels,
         chosen_i=chosen,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +46,11 @@ OVER_WINDOW = "interval-over-N-2d"
 
 NORMALIZATIONS = (GROUP, OVER_N, OVER_WINDOW)
 
-# |coeff| > SUPPORT_EPS counts as a nonzero spectral coefficient.  A function
-# with values in [0,1] has |coeff| <= 1, and the FFT leaves roundoff of order
-# 1e-16 on each coefficient, so this separates the exact zeros of a sparse
-# spectrum from noise at every n.  Coefficients below it are not trusted to be
-# negligible: the sparse profile path bounds what dropping them costs.
+# |coeff| > SUPPORT_EPS max|coeff| counts as a nonzero spectral coefficient.
+# The FFT leaves roundoff of order 1e-16 max|coeff| on each coefficient, so
+# this separates the exact zeros of a sparse spectrum from noise at every n
+# and at every scale of the values.  Coefficients below it are not trusted to
+# be negligible: the sparse profile path bounds what dropping them costs.
 SUPPORT_EPS = 1e-12
 
 _VALUE_SLACK = 1e-9
@@ -158,19 +159,25 @@ class Spectrum:
             raise DomainError("coefficient vector length must equal n")
         self.coeffs = c
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
-        """Frequencies whose coefficient clears the zero threshold."""
-        return np.flatnonzero(np.abs(self.coeffs) > SUPPORT_EPS)
+        """Frequencies whose coefficient clears the zero threshold, relative to
+        the largest; computed once per spectrum."""
+        mag = np.abs(self.coeffs)
+        return np.flatnonzero(mag > SUPPORT_EPS * mag.max(initial=0.0))
 
 
 @dataclass
 class APProfile:
-    """Per-common-difference 3-AP densities, one entry per admissible d."""
+    """Per-common-difference 3-AP densities, one entry per admissible d, and
+    the backend that computed them with the reason it was chosen (``aps.plan``
+    for a kernel table, ``structural`` for a product level)."""
 
     densities: np.ndarray
     normalization: str
     n: int
+    backend: str
+    reason: str
 
     def __post_init__(self):
         if self.normalization not in NORMALIZATIONS:

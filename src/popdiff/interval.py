@@ -30,11 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aps import Verdict, ap_profile, ap_sums, close, within, worst_difference
+from .aps import Verdict, ap_profile, ap_sums, close, plan, within, worst_difference
 from .behrend import ALPHA0, low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
-from .product import FeasibilityReport, ProductParams, construct_product, exp_text, window_checks
+from .product import FeasibilityReport, ProductParams, construct_product, window_checks
+from .product import exp_text, int_text
 
 
 @dataclass
@@ -93,7 +94,7 @@ def choose_interval_params(
         ln_n, ln_e, ln_a = math.log(n_total), math.log(epsilon), math.log(alpha)
         rep = FeasibilityReport(mode)
         rep.add("N-bound", n_total * e**15 >= 1,
-                f"N={n_total} violates N >= epsilon^-15 = {exp_text(-15 * ln_e, '.6g')}")
+                f"N={int_text(n_total)} violates N >= epsilon^-15 = {exp_text(-15 * ln_e, '.6g')}")
         rep.add("epsilon-bound", e <= a**7,
                 f"epsilon={epsilon} violates epsilon <= alpha^7 = {exp_text(7 * ln_a, '.3g')}")
         rep.add("alpha-bound", alpha <= ALPHA0, f"alpha={alpha} exceeds alpha0={ALPHA0}")
@@ -107,7 +108,7 @@ def choose_interval_params(
         if fac is not None:
             q = math.prod(fac)
             ok = q**5 > n_total and q**2 <= e**2 * a**3 * (1 - e) * n_total
-            rep.add("modulus-window", ok, f"q={q} outside the modulus window {window}")
+            rep.add("modulus-window", ok, f"q={int_text(q)} outside the modulus window {window}")
             window_checks(rep, alpha / (1 - epsilon**2), 4 * epsilon, fac)
             rep.raise_if_fatal()
             candidates = [(q, fac)]
@@ -267,7 +268,8 @@ def scan_interval_fn(values: np.ndarray, target: float) -> Verdict:
         if bad.size:
             return Verdict(int(bad[0]), float(dens[bad[0]]), target, False)
         lo *= 2
-    return worst_difference(APProfile(dens, OVER_WINDOW, n), target)
+    scanned = plan(values, np.arange(1, len(dens)), cyclic=False)
+    return worst_difference(APProfile(dens, OVER_WINDOW, n, *scanned), target)
 
 
 def construct_interval_fn(

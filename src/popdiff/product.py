@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .aps import Verdict, ap_sums, triple_amplitudes, within, worst_difference
+from .aps import Verdict, ap_sums, plan, triple_amplitudes, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .fourier import idft
@@ -108,6 +108,18 @@ def exp_text(log_x: float, spec: str) -> str:
     return f"{mant}e{int(exp10) + k:+d}" if k else mant + e + exp10
 
 
+def int_text(k) -> str:
+    """str(k) for an int of at most 40 digits, or a tuple of ints as str prints
+    one; a longer int as exp_text's 6-digit mantissa and exponent, which keeps
+    a detail short and stays defined past str's 4300-digit limit."""
+    if isinstance(k, tuple):
+        inner = ", ".join(map(int_text, k))
+        return f"({inner},)" if len(k) == 1 else f"({inner})"
+    if abs(k) < 10**40:
+        return str(k)
+    return ("-" if k < 0 else "") + exp_text(math.log(abs(k)), ".6g")
+
+
 def feasibility(params: ProductParams) -> FeasibilityReport:
     """Check the construction hypotheses; desk mode waives all but fatal ones.
 
@@ -120,7 +132,8 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
 
     distinct = len(set(fac)) == len(fac)
     all_prime = all(is_prime(m) and m % 2 == 1 for m in fac)
-    rep.add("factors-odd-distinct-primes", distinct and all_prime, f"factors={fac}", waivable=False)
+    rep.add("factors-odd-distinct-primes", distinct and all_prime, f"factors={int_text(fac)}",
+            waivable=False)
     if not (distinct and all_prime):
         return rep
 
@@ -131,7 +144,7 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
                 f"alpha'={ap!r} must be <= 1/2 to host the model profile", waivable=False)
         rep.add("model-prime", min(fac[1:]) >= MIN_MODEL_PRIME,
                 f"factors after the first host the model profile, so each must be >= "
-                f"{MIN_MODEL_PRIME}: {fac[1:]}", waivable=False)
+                f"{MIN_MODEL_PRIME}: {int_text(fac[1:])}", waivable=False)
     window_checks(rep, params.alpha, params.epsilon, fac)
     return rep
 
@@ -145,18 +158,18 @@ def window_checks(rep: FeasibilityReport, a: float, eps: float, fac: tuple) -> N
     num, den = eps.as_integer_ratio()
     hi = eps ** (-1 / 3)
     rep.add("m1-window", den < 8 * fac[0] ** 3 * num <= 8 * den,
-            f"m1={fac[0]}, window ({hi / 2!r}, {hi!r}]")
+            f"m1={int_text(fac[0])}, window ({hi / 2!r}, {hi!r}]")
 
     ln_eps = math.log(eps)
     n_prev = fac[0]
     for i, m in enumerate(fac[1:], start=2):
         rep.add(f"m{i}-growth-lower", m > n_prev**6,
-                f"m{i}={m} vs n_{i-1}^6={exp_text(6 * math.log(n_prev), '.6g')}")
+                f"m{i}={int_text(m)} vs n_{i-1}^6={exp_text(6 * math.log(n_prev), '.6g')}")
         # m < exp(x)/2, x = 64^-2 150^(i-1) eps^(1/4) n_{i-1} / 2, as ln ln 2m < ln x; the
         # /2 is the headline statement's, which the modulus approximation argument drops
         ln_x = (i - 1) * math.log(150) + ln_eps / 4 + math.log(n_prev) - math.log(8192)
         rep.add(f"m{i}-growth-upper", math.log(math.log(2 * m)) < ln_x,
-                f"m{i}={m} vs exp(x)/2 with x={exp_text(ln_x, '.6g')}")
+                f"m{i}={int_text(m)} vs exp(x)/2 with x={exp_text(ln_x, '.6g')}")
         n_prev *= m
 
     s_max = (6 * math.log(a) - ln_eps / 4 - math.log(8)) / math.log(150)
@@ -182,6 +195,16 @@ class LevelState:
     @property
     def n(self) -> int:
         return math.prod(self.factors)
+
+    @property
+    def profile(self) -> APProfile:
+        """The density table as a profile: level 1's comes from ``ap_sums``,
+        by ``plan``'s backend, and each later level's from the structure."""
+        if len(self.factors) == 1:
+            label = plan(self.values)
+        else:
+            label = ("structural", "level below plus fiber terms")
+        return APProfile(self.density_table, GROUP, self.n, *label)
 
 
 def build_level1(alpha: float, m1: int) -> LevelState:
@@ -315,7 +338,7 @@ def verify_level(state: LevelState, epsilon: float) -> Verdict:
     """Exhaustive check that every nonzero difference has density at most
     alpha^3 (1 - epsilon), by ``worst_difference``."""
     target = state.alpha**3 * (1 - epsilon)
-    return worst_difference(APProfile(state.density_table, GROUP, state.n), target)
+    return worst_difference(state.profile, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Per-difference and total density engines and the worst-difference rule."""
 
 import ast
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,17 @@ import popdiff
 import popdiff.aps
 import popdiff.domains
 from popdiff.aps import (
+    EXPLICIT,
     SPARSE_TOL,
     VERDICT_SLACK,
     Verdict,
     _pair_sums,
+    _window_sums,
     ap_profile,
     ap_sums,
     per_diff_density,
     perdiff_table_sparse,
+    plan,
     sparse_error_bound,
     total_3ap_density,
     triple_amplitudes,
@@ -49,7 +53,13 @@ from popdiff.interval import (
     step1_step2_tile,
 )
 from popdiff.modelfn import build_model_fn, verify_model_properties
-from popdiff.product import ProductParams, construct_product, feasibility
+from popdiff.product import (
+    ProductParams,
+    build_level1,
+    construct_product,
+    feasibility,
+    random_modify_level,
+)
 from oracles import reference_pair_sums, reference_perdiff_table_sparse
 
 
@@ -177,13 +187,17 @@ def test_profile_auto_near_old_support_threshold():
 def test_profile_auto_falls_back_when_bound_fails(monkeypatch):
     rng = np.random.default_rng(6)
     f = DensityFn(cyclic(1009), rng.uniform(0, 1, 1009))
-    monkeypatch.setattr(popdiff.domains, "SUPPORT_EPS", 0.02)
+    # relative to max|c| = 0.504, so the cutoff is about 0.02 in absolute terms
+    monkeypatch.setattr(popdiff.domains, "SUPPORT_EPS", 0.04)
     spec = dft(f)
     assert len(spec.support) <= 31  # small enough for the sparse route
     bound = sparse_error_bound(f.values, spec)
-    assert bound > SPARSE_TOL
+    assert bound > SPARSE_TOL * f.values.max() ** 3
+    assert plan(f.values, spectrum=spec) == ("windows", "sparse bound above tolerance")
     dense = ap_sums(f.values) / 1009
-    assert np.array_equal(ap_profile(f).densities, dense)
+    prof = ap_profile(f)
+    assert np.array_equal(prof.densities, dense)
+    assert (prof.backend, prof.reason) == ("windows", "sparse bound above tolerance")
     assert np.abs(perdiff_table_sparse(spec) - dense).max() <= bound
 
 
@@ -221,7 +235,7 @@ def test_dense_windows_match_triple_loop(values, cyclic):
 @given(indicators, st.booleans())
 def test_pair_backend_matches_dense_bitwise(values, cyclic):
     v = np.asarray(values)
-    dense = ap_sums(v, np.arange(len(v) if cyclic else (len(v) - 1) // 2 + 1), cyclic=cyclic)
+    dense = _window_sums(v, np.arange(len(v) if cyclic else (len(v) - 1) // 2 + 1), cyclic)
     pairs = _pair_sums(v, cyclic)
     assert np.array_equal(pairs, dense)
     assert pairs.tolist() == brute_sums(values, cyclic)
@@ -272,28 +286,33 @@ def test_full_cyclic_table_symmetric_bitwise(values, data):
     indicator[list(support)] = 1.0
     for table in (ap_sums(values), ap_sums(indicator), _pair_sums(indicator, True)):
         assert np.array_equal(table[1:], table[1:][::-1])
-    windows = ap_sums(values, np.arange(n))  # every d is its own window pass
+    windows = _window_sums(np.asarray(values), np.arange(n), True)  # every d its own pass
     assert np.allclose(ap_sums(values), windows, rtol=0, atol=1e-12)
+
+
+def hand_profile(densities, normalization, n):
+    """A hand-written profile, labelled as no backend's."""
+    return APProfile(densities, normalization, n, "given", "hand-written table")
 
 
 def test_worst_difference_rule():
     # a group maximum at n - d = 4 is reported at d = 3 with the same value,
     # and a tie between d = 1 and d = 2 goes to the smaller d
     table = np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1])
-    assert worst_difference(APProfile(table, GROUP, 7)) == Verdict(3, 0.35, np.inf, True)
+    assert worst_difference(hand_profile(table, GROUP, 7)) == Verdict(3, 0.35, np.inf, True)
     table = np.array([0.9, 0.3, 0.3, 0.1, 0.1, 0.2, 0.1])
-    assert worst_difference(APProfile(table, GROUP, 7)) == Verdict(1, 0.3, np.inf, True)
+    assert worst_difference(hand_profile(table, GROUP, 7)) == Verdict(1, 0.3, np.inf, True)
     # an interval [7] scans d = 1..3 only
-    assert (worst_difference(APProfile([0.9, 0.1, 0.4, 0.4], OVER_WINDOW, 7))
+    assert (worst_difference(hand_profile([0.9, 0.1, 0.4, 0.4], OVER_WINDOW, 7))
             == Verdict(2, 0.4, np.inf, True))
     # no nonzero difference: Z_1, [1], [2]
-    assert worst_difference(APProfile([0.5], GROUP, 1), 0.0) == Verdict(None, None, 0.0, True)
+    assert worst_difference(hand_profile([0.5], GROUP, 1), 0.0) == Verdict(None, None, 0.0, True)
     for n in (1, 2):
-        assert worst_difference(APProfile([0.5], OVER_N, n), 0.0) == Verdict(None, None, 0.0, True)
+        assert worst_difference(hand_profile([0.5], OVER_N, n), 0.0) == Verdict(None, None, 0.0, True)
     # passed flips at target (1 + VERDICT_SLACK), at any scale
     table = np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1])
     for scale in (1.0, 2.0**-900):
-        prof = APProfile(scale * table, GROUP, 7)
+        prof = hand_profile(scale * table, GROUP, 7)
         assert worst_difference(prof, scale * 0.35).passed
         assert worst_difference(prof, scale * 0.35 / (1 + VERDICT_SLACK / 2)).passed
         assert not worst_difference(prof, scale * 0.35 / (1 + 2 * VERDICT_SLACK)).passed
@@ -306,7 +325,7 @@ def test_verdict_slack_has_one_reader(monkeypatch, tmp_path):
     # every verdict and check reads aps.VERDICT_SLACK when it compares, so
     # widening the slack to 5 (a target passes up to 6 times itself) turns
     # each of these failures into a pass
-    prof = APProfile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
+    prof = hand_profile(np.array([0.9, 0.1, 0.2, 0.3, 0.35, 0.2, 0.1]), GROUP, 7)
     low = LowAPSubset(7, np.array([0]), 1 / 7, bound=0.01, block_width=0)
     low.ap_density = 0.05  # stands in for the count that ap_density caches
     # mean cube 1.5625 alpha^3, and alpha' = 1.25 alpha above alpha (1 + eps^(1/4))
@@ -438,7 +457,7 @@ def test_spectral_backend_within_error_bound(n, freqs, seed):
     c[0] = 0.5
     f = DensityFn(cyclic(n), idft(c).real)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(popdiff.domains, "SUPPORT_EPS", 1e-3)
+        mp.setattr(popdiff.domains, "SUPPORT_EPS", 2e-3)  # of max|c| = 0.5: a 1e-3 cutoff
         spec = dft(f)
         bound = sparse_error_bound(f.values, spec)
         sparse = perdiff_table_sparse(spec)
@@ -489,3 +508,141 @@ def test_triple_amplitudes_evaluate_the_progression_sum(m, seed):
     r0, r1 = np.divmod(np.arange(m * m), m)
     amp = triple_amplitudes(coef[0, r0], r0, coef[1, r1], r1, coef[2].take, m)
     assert np.abs(idft(amp) - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# plan: the one backend decision
+
+
+def _indicator(n, k):
+    v = np.zeros(n)
+    v[np.random.default_rng(n + k).choice(n, k, replace=False)] = 1.0
+    return v
+
+
+def _plan_cases():
+    """(name, plan's arguments, expected (backend, reason))."""
+    uniform = np.random.default_rng(0).random(1009)
+    model = build_model_fn(0.25, 1009).fn.values
+    low, high = _indicator(101, 20), _indicator(101, 21)  # 0.2 n = 20.2
+    spec = lambda v: {"spectrum": dft(DensityFn(cyclic(len(v)), v))}
+    every_d = np.random.default_rng(1).permutation(101)
+    return [
+        ("cyclic indicator below 0.2 n", (low,), {}, ("pairs", "sparse indicator")),
+        ("cyclic indicator above 0.2 n", (high,), {}, ("windows", "dense indicator")),
+        ("interval indicator below 0.2 n", (_indicator(100, 20),), {"cyclic": False},
+         ("pairs", "sparse indicator")),
+        ("interval indicator above 0.2 n", (_indicator(100, 21),), {"cyclic": False},
+         ("windows", "dense indicator")),
+        ("indicator with its spectrum", (low,), spec(low), ("pairs", "sparse indicator")),
+        ("dense spectrum", (uniform,), spec(uniform), ("windows", "wide spectrum")),
+        ("dense values, no spectrum", (uniform,), {}, ("windows", "no spectrum")),
+        ("interval values", (uniform,), {"cyclic": False}, ("windows", "no spectrum")),
+        ("model profile", (model,), spec(model), ("sparse", "sparse spectrum")),
+        ("uniform x 1e-13", (uniform * 1e-13,), spec(uniform * 1e-13), ("windows", "wide spectrum")),
+        ("model x 1e-13", (model * 1e-13,), spec(model * 1e-13), ("sparse", "sparse spectrum")),
+        ("explicit diffs", (low, [1, 2, 3]), {}, ("windows", EXPLICIT)),
+        ("explicit diffs of an interval", (_indicator(100, 20), [0, 1]), {"cyclic": False},
+         ("windows", EXPLICIT)),
+        ("explicit diffs missing one d", (low, every_d[1:]), {}, ("windows", EXPLICIT)),
+        ("explicit diffs covering Z_n", (low, every_d), {}, ("pairs", "sparse indicator")),
+        ("explicit diffs covering Z_n, shifted by n", (high, every_d + 101), {},
+         ("windows", "dense indicator")),
+    ]
+
+
+@pytest.mark.parametrize("case", _plan_cases(), ids=lambda c: c[0])
+def test_plan_pins_backend_and_reason(case):
+    _, args, kwargs, want = case
+    assert plan(*args, **kwargs) == want
+
+
+def test_profiles_record_the_backend_that_ran():
+    model = build_model_fn(0.25, 1009).fn
+    prof = ap_profile(model)
+    assert (prof.backend, prof.reason) == ("sparse", "sparse spectrum")
+    assert np.array_equal(prof.densities, perdiff_table_sparse(dft(model)))
+    forced = ap_profile(model, path="dense")
+    assert (forced.backend, forced.reason) == ("windows", "forced")
+    assert ap_profile(model, path="sparse").reason == "forced"
+    s = DensityFn(interval(100), _indicator(100, 20))
+    prof = ap_profile(s, OVER_N)
+    assert (prof.backend, prof.reason) == ("pairs", "sparse indicator")
+    assert np.array_equal(prof.densities, _pair_sums(s.values, False) / 100)
+    # level 1 of a product is a kernel table, every later level is structural
+    level1 = build_level1(0.25, 5)
+    assert (level1.profile.backend, level1.profile.reason) == ("windows", "no spectrum")
+    level2 = random_modify_level(level1, 7, np.random.default_rng(0), 0.5)
+    assert level2.profile.backend == "structural"
+    assert level2.profile.reason == "level below plus fiber terms"
+    assert level2.profile.densities is level2.density_table
+
+
+def test_explicit_diffs_covering_every_d_take_the_full_table():
+    # the same bits as the full table, in the order asked for
+    rng = np.random.default_rng(3)
+    for v in (rng.random(101), _indicator(101, 15)):
+        order = rng.permutation(101)
+        assert np.array_equal(ap_sums(v, order), ap_sums(v)[order])
+    v = rng.random(100)
+    assert np.array_equal(ap_sums(v, np.arange(50), cyclic=False), ap_sums(v, cyclic=False))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "model"])
+def test_profile_at_a_tiny_scale_matches_the_direct_sums(kind):
+    # at 1e-13 no coefficient clears an absolute 1e-12, which once sent both
+    # inputs down a sparse path with an empty support and an all-zero profile
+    n = 1009
+    base = np.random.default_rng(0).random(n) if kind == "uniform" else build_model_fn(0.25, n).fn.values
+    v = base * 1e-13
+    dense = ap_sums(v) / n
+    got = ap_profile(DensityFn(cyclic(n), v)).densities
+    assert dense.max() > 0
+    assert np.abs(got - dense).max() <= 1e-9 * dense.max()
+
+
+def test_sparse_profile_computes_the_support_once(monkeypatch):
+    calls = []
+
+    class CountingSpectrum(Spectrum):
+        @cached_property
+        def support(self):
+            calls.append(1)
+            return Spectrum.support.func(self)
+
+    monkeypatch.setattr(popdiff.aps, "dft", lambda f: CountingSpectrum(f.n, dft(f).coeffs))
+    prof = ap_profile(build_model_fn(0.25, 1009).fn)
+    assert prof.backend == "sparse" and len(calls) == 1
+
+
+def _reads(tree, names, module):
+    """(name, module.qualname of the scope) for every read of ``names``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load):
+            found.add((node.id, ".".join((module,) + scope)))
+        if isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.ctx, ast.Load):
+            found.add((node.attr, ".".join((module,) + scope)))
+        if isinstance(node, ast.ImportFrom):
+            found.update((a.name, module) for a in node.names if a.name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_reader_per_threshold():
+    readers = {
+        "_PAIR_CROSSOVER": "aps.plan",
+        "SPARSE_TOL": "aps.plan",
+        "_SPARSE_MIN": "aps.plan",
+        "SUPPORT_EPS": "domains.Spectrum.support",
+    }
+    found = set()
+    for path in sorted(Path(popdiff.__file__).parent.glob("*.py")):
+        found |= _reads(ast.parse(path.read_text(encoding="utf-8")), set(readers), path.stem)
+    assert found == set(readers.items())

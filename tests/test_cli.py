@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popdiff.aps import _PAIR_CROSSOVER
+from popdiff.aps import plan
 from popdiff.cli import BEHREND_MAX_N, main
-from popdiff.domains import DensityFn, cyclic, interval, save_fn
+from popdiff.domains import DensityFn, cyclic, interval, load_fn, save_fn
 from popdiff.interval import IntervalCert
 
 
@@ -274,9 +274,9 @@ def test_verify_replay(tmp_path):
                  "--epsilon", "1e-3"]) == 1
 
 
-# verify's stdout, pinned: a sparse set in [2000] whose 300 members are under
-# _PAIR_CROSSOVER, so its counts are exact integers and the bytes do not
-# depend on the machine; and the constant function of test_verify_replay
+# verify's stdout, pinned: a sparse set in [2000] whose 300 members take the
+# pair backend, so its counts are exact integers and the bytes do not depend
+# on the machine; and the constant function of test_verify_replay
 VERIFY_SET_STDOUT = ('{"passed": false, "target": 0.0023749999999999995, "worst_d": 956, '
                      '"worst_density": 0.022727272727272728}\n')
 VERIFY_FLAT_STDOUT = ('{"passed": false, "target": 0.015609375, "worst_d": 12, '
@@ -285,8 +285,8 @@ VERIFY_FLAT_STDOUT = ('{"passed": false, "target": 0.015609375, "worst_d": 12, '
 
 def test_verify_golden_stdout(tmp_path, capsys):
     elements = sorted(random.Random(3).sample(range(1, 2001), 300))
-    assert len(elements) <= _PAIR_CROSSOVER * 2000
     (tmp_path / "s.set.json").write_text(json.dumps({"elements": elements, "N": 2000}))
+    assert plan(load_fn(tmp_path / "s.set.json").values, cyclic=False) == ("pairs", "sparse indicator")
     assert main(["verify", "--in", str(tmp_path / "s.set.json"), "--bound", "abs",
                  "--epsilon", "1e-3"]) == 1
     assert capsys.readouterr().out == VERIFY_SET_STDOUT

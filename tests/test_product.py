@@ -15,6 +15,7 @@ from hypothesis import strategies as st_
 from oracles import reference_feasibility, reference_random_modify_level, smooth_tuple_ok
 from popdiff.aps import Verdict, ap_sums, perdiff_table_sparse
 from popdiff.errors import InfeasibleError, RetriesExhausted
+from popdiff.interval import choose_interval_params
 from popdiff.modelfn import CUBE_MOMENT_FACTOR, TRIPLE_DENSITY_FACTOR, build_model_fn
 from popdiff.product import (
     FeasibilityReport,
@@ -23,6 +24,7 @@ from popdiff.product import (
     construct_product,
     exp_text,
     feasibility,
+    int_text,
     random_modify_level,
     verify_level,
     window_checks,
@@ -126,6 +128,26 @@ def test_exp_text_past_float_range():
     assert exp_text(450 * math.log(10), ".6g") == "1e+450"  # epsilon^-15 at epsilon = 1e-30
     assert exp_text(-700 * math.log(10), ".3g") == "1e-700"
     assert exp_text(11166.0, ".4g") == "2.149e+4849"
+
+
+def test_int_text_is_str_up_to_40_digits():
+    for k in (0, 7, -5, 10**30 + 57, 10**40 - 1, -(10**40 - 1)):
+        assert int_text(k) == str(k)
+    for t in ((5,), (5, 15629), (101, 31, 7)):
+        assert int_text(t) == str(t)
+    assert int_text(10**40) == "1e+40"
+    assert int_text(-(3**100)) == "-5.15378e+47"
+    assert int_text(3**10001) == "4.89405e+4771"  # str refuses ints past 4300 digits
+
+
+def test_unbounded_integers_in_details():
+    # formatting these in full once raised ValueError past 4300 digits
+    rep = feasibility(ProductParams(0.25, 1e-3, (5, 3**10001)))
+    assert [c.status for c in rep.checks] == ["fail"]
+    assert rep.checks[0].detail == "factors=(5, 4.89405e+4771)"
+    with pytest.raises(InfeasibleError) as exc:
+        choose_interval_params(10**5000, 0.05, 1e-12, mode="strict")
+    assert len(str(exc.value)) < 200
 
 
 def test_level1_exact():
