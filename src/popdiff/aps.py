@@ -72,8 +72,8 @@ def plan(values, diffs=None, cyclic: bool = True, spectrum: Spectrum | None = No
     """(backend, reason): how the 3-AP table of ``values`` is computed, and
     why; the only place a backend is chosen, and a pure function.
 
-    * ``windows``, EXPLICIT: ``diffs`` that leave some d out, one window pass
-      per d, decided without a pass over the values;
+    * ``perdiff``, EXPLICIT: ``diffs`` that leave some d out, one window pass
+      per requested d, decided without a pass over the values;
     * ``sparse``, "sparse spectrum": a cyclic full table whose ``spectrum`` has
       at most max(8, isqrt(n)) frequencies and a ``sparse_error_bound`` at
       most SPARSE_TOL max|v|^3;
@@ -81,15 +81,16 @@ def plan(values, diffs=None, cyclic: bool = True, spectrum: Spectrum | None = No
     * ``windows`` otherwise: "dense indicator", or, for other values, "wide
       spectrum", "sparse bound above tolerance" or "no spectrum" (none given).
 
-    ``diffs`` that cover every admissible d ask for the full table.
+    ``diffs`` (in range; cyclic ones are read mod n) that cover every
+    admissible d ask for the full table, found by one ``bincount`` of them.
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     size = n if cyclic else (n - 1) // 2 + 1
     if diffs is not None:
         ds = np.asarray(diffs, dtype=np.int64)
-        if ds.size < size or not np.isin(np.arange(size), ds % n if cyclic else ds).all():
-            return "windows", EXPLICIT
+        if ds.size < size or not np.bincount(ds % n if cyclic else ds, minlength=size)[:size].all():
+            return "perdiff", EXPLICIT
     why_not_sparse = "no spectrum"
     if cyclic and spectrum is not None:
         limit = max(_SPARSE_MIN, math.isqrt(n))
@@ -110,12 +111,21 @@ def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
     """S(d) = sum_x v[x] v[x+d] v[x+2d] for each requested d.
 
     ``cyclic`` reads v on Z_n (d mod n, default every d); otherwise v lives on
-    [N], x runs over [N-2d] and d lies in 0..(N-1)//2 (the default).  ``plan``
-    picks the backend: explicit ``diffs`` take one window pass per d, so each
-    value does not depend on the other d's; a full table takes exact counts
-    over support pairs for a sparse {0,1} vector, equal to the window sums bit
-    for bit, and otherwise windows, a cyclic one mirroring d <= n/2 as
-    S(n-d) = S(d) (substitute x -> x+2d).
+    [N], x runs over [N-2d] and d lies in 0..(N-1)//2 (the default).  The
+    table of ``planned_sums``, without its label.
+    """
+    return planned_sums(values, diffs, cyclic)[0]
+
+
+def planned_sums(values, diffs=None, cyclic: bool = True) -> tuple:
+    """(``ap_sums``' table, (backend, reason)): the table by the backend that
+    ``plan`` picks, labelled with it.
+
+    ``perdiff`` takes one window pass per requested d, so each value does not
+    depend on the other d's; a full table takes exact counts over support
+    pairs for a sparse {0,1} vector, equal to the window sums bit for bit, and
+    otherwise windows, a cyclic one mirroring d <= n/2 as S(n-d) = S(d)
+    (substitute x -> x+2d).
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
@@ -126,11 +136,11 @@ def ap_sums(values, diffs=None, cyclic: bool = True) -> np.ndarray:
             ds = ds % n
         elif ds.size and (ds.min() < 0 or ds.max() > (n - 1) // 2):
             raise DomainError(f"difference out of range 0..{(n - 1) // 2} for interval of length {n}")
-    backend, reason = plan(v, ds, cyclic)
-    if reason == EXPLICIT:
-        return _window_sums(v, ds, cyclic)
-    table = _full_table(v, cyclic, backend)
-    return table if ds is None else table[ds]
+    label = plan(v, ds, cyclic)
+    if label[0] == "perdiff":
+        return _window_sums(v, ds, cyclic), label
+    table = _full_table(v, cyclic, label[0])
+    return (table if ds is None else table[ds]), label
 
 
 def _full_table(v: np.ndarray, cyclic: bool, backend: str) -> np.ndarray:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aps import ap_sums, plan, within, worst_difference
+from .aps import planned_sums, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
 from .fourier import convolve, dft, dft_values
@@ -184,9 +184,10 @@ def smooth(fvals: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 
 
 def _support_sums(fvals: np.ndarray, phi: np.ndarray) -> tuple:
-    """(supp phi, S(s) for s in supp phi), by the backend ``aps.plan`` picks."""
+    """(supp phi, S(s) for s in supp phi, (backend, reason)), by the backend
+    ``aps.plan`` picks."""
     s = np.flatnonzero(phi)
-    return s, ap_sums(fvals, s)
+    return (s, *planned_sums(fvals, s))
 
 
 def _weighted(phi: np.ndarray, s: np.ndarray, sums: np.ndarray) -> float:
@@ -200,7 +201,8 @@ def lambda_weighted(fvals: np.ndarray, phi: np.ndarray) -> float:
     f = np.asarray(fvals, dtype=np.float64)
     if len(phi) != len(f):
         raise DomainError("weight and function sizes differ")
-    return _weighted(phi, *_support_sums(f, phi))
+    s, sums, _ = _support_sums(f, phi)
+    return _weighted(phi, s, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +471,10 @@ def upper_search(
         raise DegenerateBohrError(f"Bohr set collapsed to the origin at level {chosen}")
     # 0 is in B and |B| >= 2, so B+B contains B and a nonzero difference
     phi = phi_measure(b_final)
-    support, sums = _support_sums(fv, phi)
+    support, sums, label = _support_sums(fv, phi)
     table = np.full(n, -np.inf)
     table[support] = sums / n
-    worst = worst_difference(APProfile(table, GROUP, n, *plan(fv, support)))
+    worst = worst_difference(APProfile(table, GROUP, n, *label))
     return IncrementTrace(
         levels=levels,
         chosen_i=chosen,

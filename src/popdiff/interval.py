@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aps import Verdict, ap_profile, ap_sums, close, plan, within, worst_difference
+from .aps import EXPLICIT, Verdict, ap_profile, ap_sums, close, within, worst_difference
 from .behrend import ALPHA0, low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
 from .errors import DomainError, InfeasibleError, RetriesExhausted
@@ -268,8 +268,7 @@ def scan_interval_fn(values: np.ndarray, target: float) -> Verdict:
         if bad.size:
             return Verdict(int(bad[0]), float(dens[bad[0]]), target, False)
         lo *= 2
-    scanned = plan(values, np.arange(1, len(dens)), cyclic=False)
-    return worst_difference(APProfile(dens, OVER_WINDOW, n, *scanned), target)
+    return worst_difference(APProfile(dens, OVER_WINDOW, n, "perdiff", EXPLICIT), target)
 
 
 def construct_interval_fn(

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .aps import Verdict, ap_sums, plan, triple_amplitudes, within, worst_difference
+from .aps import Verdict, planned_sums, triple_amplitudes, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
 from .errors import DomainError, InfeasibleError, RetriesExhausted
 from .fourier import idft
@@ -191,6 +191,7 @@ class LevelState:
     coset_a: np.ndarray | None = None
     coset_b: np.ndarray | None = None
     mu_effective: float = 0.0
+    table_label: tuple = ("structural", "level below plus fiber terms")  # (backend, reason)
 
     @property
     def n(self) -> int:
@@ -198,13 +199,9 @@ class LevelState:
 
     @property
     def profile(self) -> APProfile:
-        """The density table as a profile: level 1's comes from ``ap_sums``,
-        by ``plan``'s backend, and each later level's from the structure."""
-        if len(self.factors) == 1:
-            label = plan(self.values)
-        else:
-            label = ("structural", "level below plus fiber terms")
-        return APProfile(self.density_table, GROUP, self.n, *label)
+        """The density table as a profile, labelled as it was computed: level
+        1's by ``plan``'s backend, each later level's from the structure."""
+        return APProfile(self.density_table, GROUP, self.n, *self.table_label)
 
 
 def build_level1(alpha: float, m1: int) -> LevelState:
@@ -212,12 +209,14 @@ def build_level1(alpha: float, m1: int) -> LevelState:
     ap = alpha * (1 + 1 / (m1 - 1))
     values = np.full(m1, ap)
     values[0] = 0.0
+    sums, label = planned_sums(values)
     return LevelState(
         factors=(m1,),
         values=values,
         alpha=alpha,
         alpha_prime=ap,
-        density_table=ap_sums(values) / m1,
+        density_table=sums / m1,
+        table_label=label,
     )
 
 

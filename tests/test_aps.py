@@ -41,7 +41,7 @@ from popdiff.domains import (
     save_fn,
 )
 from popdiff.behrend import LowAPSubset, scaled_indicator
-from popdiff.bohr import pick_increment_index
+from popdiff.bohr import geometric_schedule, pick_increment_index, upper_search
 from popdiff.cli import main
 from popdiff.errors import DomainError, InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft, idft
@@ -227,9 +227,13 @@ indicators = st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=120)
 
 @given(unit_values, st.booleans())
 def test_dense_windows_match_triple_loop(values, cyclic):
+    # one window pass per d, every d (past n/2 too, cyclically), and the full
+    # table ap_sums takes from plan
     n = len(values)
-    got = ap_sums(values, np.arange(n if cyclic else (n - 1) // 2 + 1), cyclic=cyclic)
-    assert np.allclose(got, brute_sums(values, cyclic), rtol=0, atol=1e-12)
+    ds = np.arange(n if cyclic else (n - 1) // 2 + 1)
+    brute = brute_sums(values, cyclic)
+    assert np.allclose(_window_sums(np.asarray(values), ds, cyclic), brute, rtol=0, atol=1e-12)
+    assert np.allclose(ap_sums(values, cyclic=cyclic), brute, rtol=0, atol=1e-12)
 
 
 @given(indicators, st.booleans())
@@ -541,10 +545,10 @@ def _plan_cases():
         ("model profile", (model,), spec(model), ("sparse", "sparse spectrum")),
         ("uniform x 1e-13", (uniform * 1e-13,), spec(uniform * 1e-13), ("windows", "wide spectrum")),
         ("model x 1e-13", (model * 1e-13,), spec(model * 1e-13), ("sparse", "sparse spectrum")),
-        ("explicit diffs", (low, [1, 2, 3]), {}, ("windows", EXPLICIT)),
+        ("explicit diffs", (low, [1, 2, 3]), {}, ("perdiff", EXPLICIT)),
         ("explicit diffs of an interval", (_indicator(100, 20), [0, 1]), {"cyclic": False},
-         ("windows", EXPLICIT)),
-        ("explicit diffs missing one d", (low, every_d[1:]), {}, ("windows", EXPLICIT)),
+         ("perdiff", EXPLICIT)),
+        ("explicit diffs missing one d", (low, every_d[1:]), {}, ("perdiff", EXPLICIT)),
         ("explicit diffs covering Z_n", (low, every_d), {}, ("pairs", "sparse indicator")),
         ("explicit diffs covering Z_n, shifted by n", (high, every_d + 101), {},
          ("windows", "dense indicator")),
@@ -586,6 +590,18 @@ def test_explicit_diffs_covering_every_d_take_the_full_table():
         assert np.array_equal(ap_sums(v, order), ap_sums(v)[order])
     v = rng.random(100)
     assert np.array_equal(ap_sums(v, np.arange(50), cyclic=False), ap_sums(v, cyclic=False))
+
+
+def test_a_search_plans_its_table_once(monkeypatch):
+    # the label of the search's profile is the plan that computed its sums,
+    # here over a support that covers Z_n
+    seen = []
+    real = popdiff.aps.plan
+    monkeypatch.setattr(popdiff.aps, "plan", lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+    n = 101
+    tr = upper_search(DensityFn(cyclic(n), np.full(n, 0.3)), 0.05, schedule=geometric_schedule(0.25))
+    assert tr.phi_support.size == n
+    assert seen == [("windows", "no spectrum")]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "model"])
