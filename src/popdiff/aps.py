@@ -3,7 +3,7 @@ that reports the worst nonzero difference.
 
 Every density is a normalized S(d) = sum_x v[x] v[x+d] v[x+2d] from
 ``ap_sums`` (d=0 is always admissible and included in profiles, so that the
-mean of a group profile over all d equals the total density):
+mean of a group profile over all d equals the total density, up to roundoff):
 
 * group:                S(d) / n, indices taken mod n
 * interval-over-N:      S(d) / N, x running over [N-2d]
@@ -227,9 +227,13 @@ def total_3ap_density(f: DensityFn, method: str = "spectral") -> float:
         return float(ap_sums(f.values).sum()) / n**2
     if method != "spectral":
         raise DomainError(f"unknown method {method!r}")
-    c = dft(f).coeffs
-    val = np.sum(c * c * c[(-2 * np.arange(n)) % n])
-    return float(val.real)
+    return spectral_total(dft(f))
+
+
+def spectral_total(spectrum: Spectrum) -> float:
+    """sum_r fhat(r)^2 fhat(-2r), the total 3-AP density read off a spectrum."""
+    c = spectrum.coeffs
+    return float(np.sum(c * c * c[(-2 * np.arange(spectrum.n)) % spectrum.n]).real)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +300,10 @@ def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto
     backend that ``plan`` picks and labelled with it.
 
     A group profile hands ``plan`` its spectrum, so it may take the sparse
-    path; ``path`` forces ``sparse`` or ``dense`` (windows) instead, with the
-    reason "forced" (the tests compare the two).  Interval profiles cover
-    0 <= d < N/2 in the requested normalization.
+    path, and keeps it for ``spectral_total``; ``path`` forces ``sparse`` or
+    ``dense`` (windows) instead, with the reason "forced" (the tests compare
+    the two).  Interval profiles cover 0 <= d < N/2 in the requested
+    normalization.
     """
     n = f.n
     v = f.values
@@ -311,7 +316,7 @@ def ap_profile(f: DensityFn, normalization: str | None = None, path: str = "auto
         else:
             raise DomainError(f"unknown profile path {path!r}")
         dens = perdiff_table_sparse(spec) if backend == "sparse" else _full_table(v, True, backend) / n
-        return APProfile(dens, GROUP, n, backend, reason)
+        return APProfile(dens, GROUP, n, backend, reason, spec)
     if normalization not in (OVER_N, OVER_WINDOW):
         raise DomainError("interval profiles need an interval normalization")
     w = n if normalization == OVER_N else n - 2 * np.arange((n - 1) // 2 + 1)

@@ -26,7 +26,7 @@ import numpy as np
 from .aps import planned_sums, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn
 from .errors import DegenerateBohrError, DomainError, RegularityError
-from .fourier import convolve, dft, dft_values
+from .fourier import dft, dft_values, idft
 
 
 @dataclass
@@ -170,17 +170,19 @@ def beta_measure(b: BohrSet) -> np.ndarray:
 
 def phi_measure(b: BohrSet) -> np.ndarray:
     """The smoothed measure beta * beta; mean 1, exactly zero off B+B."""
-    beta = beta_measure(b)
-    phi = convolve(beta, beta)
+    beta_hat = dft_values(beta_measure(b))
+    phi = idft(beta_hat * beta_hat).real
     # phi(s) = r n / |B|^2 with r the number of ways s = b + b', so half a
     # representation separates zero from nonzero, far above roundoff
     return np.where(phi > 0.5 * b.n / b.size**2, phi, 0.0)
 
 
-def smooth(fvals: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """f_kappa = f * kappa for a mean-1 measure kappa; preserves the mean."""
-    out = convolve(np.asarray(fvals, dtype=np.float64), kappa)
-    return np.clip(out, 0.0, None)
+def smooth(fhat: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """f_kappa = f * kappa for a mean-1 measure kappa from f's coefficients
+    ``fhat``, by one product; roundoff negatives become 0, the mean is kept."""
+    if len(fhat) != len(kappa):
+        raise DomainError(f"smooth needs equal sizes, got {len(fhat)} and {len(kappa)}")
+    return np.clip(idft(fhat * dft_values(kappa)).real, 0.0, None)
 
 
 def _support_sums(fvals: np.ndarray, phi: np.ndarray) -> tuple:
@@ -290,8 +292,10 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
     beta1 = beta_measure(b1)
     phi1 = phi_measure(b1)
     phi2 = phi_measure(b2)
-    f_phi1 = smooth(fv, phi1)
-    f_phi2 = smooth(fv, phi2)
+    fh = dft_values(fv)
+    f_phi1 = smooth(fh, phi1)
+    f_phi2 = smooth(fh, phi2)
+    fh2 = dft_values(f_phi2)
 
     # continuity of regular Bohr sets under convolution by tau = phi_2
     tau_inside = within_half  # supp(phi2) <= B2+B2 <= (B1)_nu when B2 <= (B1)_{nu/2}
@@ -300,10 +304,10 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
     if cont_ok:
         bound = 160 * nu * d1
         for name, kappa in (("continuity-beta", beta1), ("continuity-phi", phi1)):
-            lhs = float(np.mean(np.abs(convolve(kappa, phi2) - kappa)))
+            lhs = float(np.mean(np.abs(smooth(dft_values(kappa), phi2) - kappa)))
             rep.checks.append(LemmaCheck(name, True, bound - lhs, lhs, bound, note))
         for name, kappa in (("continuity-f-beta", beta1), ("continuity-f-phi", phi1)):
-            lhs = float(np.mean(np.abs(convolve(smooth(fv, phi2), kappa) - smooth(fv, kappa))))
+            lhs = float(np.mean(np.abs(smooth(fh2, kappa) - smooth(fh, kappa))))
             rep.checks.append(LemmaCheck(name, True, bound - lhs, lhs, bound, note))
     else:
         rep.checks.append(LemmaCheck("continuity", False, None, None, None, note))
@@ -317,7 +321,7 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
             rep.checks.append(LemmaCheck(f"moment-phi-k{k}", True, lhs - rhs, lhs, rhs))
     if jensen_ok and within_nu:
         beta2 = beta_measure(b2)
-        f_beta2 = smooth(fv, beta2)
+        f_beta2 = smooth(fh, beta2)
         for k in (2, 3):
             lhs = float(np.mean(f_beta2**k))
             rhs = float(np.mean(f_phi1**k)) - 160 * nu * d1 * k
@@ -328,8 +332,6 @@ def inequality_suite(f: DensityFn, b1: BohrSet, b2: BohrSet, nu: float) -> Suite
         )
 
     # counting lemma: no hypotheses beyond shared group
-    fh = dft_values(fv)
-    fh2 = dft_values(f_phi2)
     sup = float(np.abs(fh - fh2).max())
     lam_f = lambda_weighted(fv, phi1)
     lam_s = lambda_weighted(f_phi2, phi1)
@@ -455,7 +457,7 @@ def upper_search(
             s_i.add(1)
         b_nom = bohr_set(n, s_i, min(rho_i / (4 * math.pi), 1.0))
         _, b_i = find_regular_scale(b_nom)
-        a_i = float(np.mean(smooth(fv, phi_measure(b_i)) ** 3))
+        a_i = float(np.mean(smooth(spec.coeffs, phi_measure(b_i)) ** 3))
         a_seq.append(a_i)
         bohrs.append((rho_i, b_i))
         levels.append(

@@ -72,7 +72,7 @@ def _write_json(path, obj) -> None:
 
 
 def cmd_scan(args) -> int:
-    from .aps import ap_profile, total_3ap_density, worst_difference
+    from .aps import ap_profile, spectral_total, worst_difference
     from .domains import OVER_N, OVER_WINDOW, load_fn
 
     f = load_fn(args.infile)
@@ -83,7 +83,7 @@ def cmd_scan(args) -> int:
         "n": f.n,
         "normalization": prof.normalization,
         "mean": f.mean(),
-        "total_3ap_density": total_3ap_density(f) if f.domain.is_group else None,
+        "total_3ap_density": spectral_total(prof.spectrum) if f.domain.is_group else None,
         "max_offdiag_density": worst.max_offdiag,
         "min_offdiag_density": float(prof.densities[1:].min()) if worst.argmax_d else None,
         "argmax_d": worst.argmax_d,

@@ -171,13 +171,15 @@ class Spectrum:
 class APProfile:
     """Per-common-difference 3-AP densities, one entry per admissible d, and
     the backend that computed them with the reason it was chosen (``aps.plan``
-    for a kernel table, ``structural`` for a product level)."""
+    for a kernel table, ``structural`` for a product level), and the spectrum
+    that planned a group profile (``aps.ap_profile``)."""
 
     densities: np.ndarray
     normalization: str
     n: int
     backend: str
     reason: str
+    spectrum: Spectrum | None = None
 
     def __post_init__(self):
         if self.normalization not in NORMALIZATIONS:

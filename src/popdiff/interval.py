@@ -79,14 +79,14 @@ def choose_interval_params(
     alpha0, then the modulus window N^(1/5) < q <= sqrt(eps^2 alpha^3 (1-eps)
     N) and the product's own windows on (alpha/(1-eps^2), 4 eps, factors), the
     largest boost any class count p gives; one report names every violated
-    bound.  The class count p = N'/q is a free large prime.  Desk mode admits
-    any modulus the product side accepts, prefers the largest N' = p*q, and
+    bound.  An input that passes has N >= eps^-15 >= 1e105 (eps <= alpha^7 <=
+    1e-7), which no vector holds: a DomainError naming N.  Desk mode admits any
+    modulus the product side accepts, prefers the largest N' = p*q, and
     records every waiver; pass ``beta_floor`` to demand a longer zero tail
     (see seam_tail_fraction for the value that defeats boundary differences).
     """
     if mode not in ("strict", "desk"):
         raise DomainError(f"unknown mode {mode!r}")
-    notes = []
     fac = None if factors is None else tuple(int(m) for m in factors)
     if mode == "strict":
         # the polynomial bounds are exact in N, q and the floats' integer ratios
@@ -99,35 +99,34 @@ def choose_interval_params(
                 f"epsilon={epsilon} violates epsilon <= alpha^7 = {exp_text(7 * ln_a, '.3g')}")
         rep.add("alpha-bound", alpha <= ALPHA0, f"alpha={alpha} exceeds alpha0={ALPHA0}")
         rep.raise_if_fatal()  # alpha <= 0.1 and eps <= 1e-7 from here on
-        beta_cap = epsilon**2
         ln_hi = (2 * ln_e + 3 * ln_a + math.log1p(-epsilon) + ln_n) / 2
         window = f"({exp_text(ln_n / 5, '.4g')}, {exp_text(ln_hi, '.4g')})"
-        # without factors no q is admissible: a single prime q > N^(1/5) >=
-        # eps^-3 lies above the m1 window's upper end (4 eps)^(-1/3)
-        candidates = []
-        if fac is not None:
-            q = math.prod(fac)
-            ok = q**5 > n_total and q**2 <= e**2 * a**3 * (1 - e) * n_total
-            rep.add("modulus-window", ok, f"q={int_text(q)} outside the modulus window {window}")
-            window_checks(rep, alpha / (1 - epsilon**2), 4 * epsilon, fac)
-            rep.raise_if_fatal()
-            candidates = [(q, fac)]
-    else:
-        if n_total < 1000:
-            raise InfeasibleError(f"N={n_total} below the desk minimum 1000")
+        if fac is None:
+            # no q is admissible: a single prime q > N^(1/5) >= eps^-3 lies
+            # above the m1 window's upper end (4 eps)^(-1/3)
+            raise InfeasibleError(f"no admissible modulus q in {window} for the product side")
+        q = math.prod(fac)
+        ok = q**5 > n_total and q**2 <= e**2 * a**3 * (1 - e) * n_total
+        rep.add("modulus-window", ok, f"q={int_text(q)} outside the modulus window {window}")
+        window_checks(rep, alpha / (1 - epsilon**2), 4 * epsilon, fac)
+        rep.raise_if_fatal()
+        raise DomainError(f"N = {int_text(n_total)} is too large to hold a value vector")
+    if n_total < 1000:
+        raise InfeasibleError(f"N={n_total} below the desk minimum 1000")
+    try:
         q_lo, q_hi = 5, n_total**0.8
-        window = f"({q_lo:.4g}, {q_hi:.4g})"
-        beta_cap = max(epsilon**2, 0.25)
-        notes.append("desk mode: modulus window widened to [5, N^0.8]")
-        seam = seam_tail_fraction(alpha, n_total)
-        if (beta_floor or 0.0) < seam:
-            notes.append(
-                f"tail fraction below the seam threshold {seam:.4g} leaves boundary "
-                f"differences above alpha^3; pass beta_floor to harden the tail"
-            )
-        candidates = (
-            _modulus_candidates(4 * epsilon, q_lo, q_hi) if fac is None else [(math.prod(fac), fac)]
+    except OverflowError:  # past every float, so no vector holds N either
+        raise DomainError(f"N = {int_text(n_total)} is too large to hold a value vector") from None
+    window = f"({q_lo:.4g}, {q_hi:.4g})"
+    beta_cap = max(epsilon**2, 0.25)
+    notes = ["desk mode: modulus window widened to [5, N^0.8]"]
+    seam = seam_tail_fraction(alpha, n_total)
+    if (beta_floor or 0.0) < seam:
+        notes.append(
+            f"tail fraction below the seam threshold {seam:.4g} leaves boundary "
+            f"differences above alpha^3; pass beta_floor to harden the tail"
         )
+    candidates = _modulus_candidates(4 * epsilon, q_lo, q_hi) if fac is None else [(math.prod(fac), fac)]
     if beta_floor is not None:
         if beta_floor >= 0.5:
             raise InfeasibleError("tail floor beta >= 0.5 leaves no room for the profile")

@@ -231,10 +231,16 @@ def test_measures():
 
 def test_smoothing_mean_and_uniform():
     f = random_fn(101, 0.3, 1)
+    fh = dft_values(f.values)
     kappa = np.ones(101)
-    assert np.abs(smooth(f.values, kappa) - 0.3).max() < 1e-9
+    assert np.abs(smooth(fh, kappa) - 0.3).max() < 1e-9
     b = bohr_set(101, {1}, 0.1)
-    assert abs(smooth(f.values, phi_measure(b)).mean() - 0.3) < 1e-12
+    assert abs(smooth(fh, phi_measure(b)).mean() - 0.3) < 1e-12
+
+
+def test_smooth_size_mismatch():
+    with pytest.raises(DomainError):
+        smooth(dft_values(np.ones(4)), np.ones(5))
 
 
 def test_lambda_weighted_point_mass_and_spectral():
@@ -321,6 +327,26 @@ def test_suite_trivial_constant():
     rep = inequality_suite(f, b1, b2, 1 / (1000 * b1.codim))
     assert not rep.failures()
     assert any(c.name == "mean-cube-increment" and c.applicable for c in rep.checks)
+
+
+def test_suite_reports_an_irregular_b1_as_not_applicable():
+    # b1 fails regularity, the hypothesis of continuity, moment comparison and
+    # the mean-cube increment; counting and Schur have none and still run
+    b1 = _exit_slack_example()
+    n, nu = b1.n, 1 / (1000 * b1.codim)
+    _, b2 = find_regular_scale(bohr_set(n, {1}, 0.01))
+    rep = inequality_suite(random_fn(n, 0.3, 4), b1, b2, nu)
+    checks = {c.name: c for c in rep.checks}
+    inside = bool(np.all(b1.dist[b2.elements] <= math.floor(b1.radius * Fraction(nu / 2))))
+    for name, note in (
+        ("continuity", f"reg1=False, nu<=1/(80 d1)=True, supp tau in (B1)_nu={inside}"),
+        ("moment-comparison", f"reg1=False, reg2={is_regular(b2)}"),
+    ):
+        c = checks[name]
+        assert (c.applicable, c.margin, c.lhs, c.rhs, c.note) == (False, None, None, None, note)
+    assert not checks["mean-cube-increment"].applicable
+    assert checks["counting"].applicable and checks["schur"].applicable
+    assert not rep.failures()
 
 
 def test_suite_seeded_instances():

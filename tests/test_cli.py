@@ -16,6 +16,7 @@ from popdiff.aps import plan
 from popdiff.cli import BEHREND_MAX_N, main
 from popdiff.domains import DensityFn, cyclic, interval, load_fn, save_fn
 from popdiff.interval import IntervalCert
+from popdiff.modelfn import build_model_fn
 
 
 def digest(path):
@@ -33,6 +34,41 @@ def test_construct_model_and_scan(tmp_path):
     assert lines[0] == "d,density" and len(lines) == 102
     # rescan reproduces the spectrum-level constants
     assert abs(summary["mean"] - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "command, kind, transforms",
+    [("scan", "dense", 1), ("scan", "model", 2), ("verify", "dense", 1), ("verify", "model", 2),
+     ("upper", "dense", 11)],
+)
+def test_each_command_transforms_its_input_once(tmp_path, monkeypatch, command, kind, transforms):
+    # scan and verify transform f once, and a model profile adds its sparse
+    # table's idft; a collapsed upper search transforms f once, then beta
+    # forward and phi back at each of its two levels and the final B+B, and
+    # phi forward and f_phi back at each level: 1 + 2 * 3 + 2 * 2
+    n = 1009
+    if kind == "dense":
+        v = np.random.default_rng(0).uniform(0, 1, n)
+        v = np.clip(v * 0.3 / v.mean(), 0, 1)
+    else:
+        v = build_model_fn(0.25, n).fn.values
+    save_fn(DensityFn(cyclic(n), v), tmp_path / "f.json")
+    seen = []
+
+    def counted(real):
+        return lambda a, *args, **kw: seen.append(np.array(a)) or real(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    argv = {
+        "scan": ["--out", str(tmp_path / "s")],
+        "verify": ["--epsilon", "0.05"],
+        "upper": ["--epsilon", "0.05", "--schedule", "geometric", "--rho0", "0.3",
+                  "--out", str(tmp_path / "t")],
+    }[command]
+    assert main([command, "--in", str(tmp_path / "f.json"), *argv]) in (0, 1)
+    assert len(seen) == transforms
+    assert sum(np.array_equal(a, v) for a in seen) == 1
 
 
 def test_scan_constant_rows(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from popdiff.domains import DensityFn, cyclic, interval
 from popdiff.errors import DomainError
-from popdiff.fourier import convolve, dft, dft_values, idft
+from popdiff.fourier import dft, dft_values, idft
 
 
 def naive_dft(values):
@@ -82,31 +82,25 @@ def test_interval_rejected():
         dft(f)
 
 
-def test_convolution_identity_and_naive():
+def test_multiplication_identity_and_naive():
+    # (f*g)^hat = fhat ghat, so one product and one idft convolve
     rng = np.random.default_rng(3)
     n = 65
     f = rng.uniform(0, 1, n)
     g = rng.uniform(0, 1, n)
-    got = convolve(f, g)
-    assert np.abs(got - naive_convolve(f, g)).max() <= 1e-9
-    # coefficients multiply
-    lhs = dft_values(got)
-    rhs = dft_values(f) * dft_values(g)
-    assert np.abs(lhs - rhs).max() <= 1e-12
+    got = idft(dft_values(f) * dft_values(g))
+    assert np.abs(got.imag).max() <= 1e-12
+    assert np.abs(got.real - naive_convolve(f, g)).max() <= 1e-9
+    assert np.abs(dft_values(got.real) - dft_values(f) * dft_values(g)).max() <= 1e-12
 
 
-def test_convolve_ones_and_delta():
+def test_multiplication_identity_ones_and_delta():
     ones = np.ones(9)
-    assert np.abs(convolve(ones, ones) - 1).max() < 1e-12
+    assert np.abs(idft(dft_values(ones) ** 2).real - 1).max() < 1e-12
     delta = np.zeros(5)
     delta[0] = 5.0  # normalized point mass
-    got = convolve(delta, delta)
+    got = idft(dft_values(delta) ** 2).real
     assert abs(got[0] - 5.0) < 1e-9 and np.abs(got[1:]).max() < 1e-9
-
-
-def test_convolve_size_mismatch():
-    with pytest.raises(DomainError):
-        convolve(np.ones(4), np.ones(5))
 
 
 def test_parseval_and_plancherel():

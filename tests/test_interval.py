@@ -26,7 +26,7 @@ from popdiff.aps import (
 )
 from popdiff.behrend import low_ap_density_subset, scaled_indicator
 from popdiff.domains import OVER_WINDOW, DensityFn, cyclic, interval
-from popdiff.errors import InfeasibleError, RetriesExhausted
+from popdiff.errors import DomainError, InfeasibleError, RetriesExhausted
 from popdiff.fourier import dft
 from popdiff.interval import (
     _modulus_candidates,
@@ -97,6 +97,17 @@ def test_strict_factors_inside_the_window_refused_at_once():
     assert time.perf_counter() - start < 1
     assert "modulus-window" not in str(err.value)
     assert "m1-window: m1=1000000000000000000000000000057" in str(err.value)
+
+
+def test_a_size_no_vector_holds_is_a_domain_error(monkeypatch):
+    # desk: an N past every float has no modulus window N^0.8
+    with pytest.raises(DomainError, match=r"N = 1e\+400 is too large to hold a value vector"):
+        choose_interval_params(10**400, 0.1, 0.01, mode="desk")
+    # strict: an input that passes every window has N >= eps^-15 >= 1e105,
+    # refused there, before any class count near N/q is tried
+    monkeypatch.setattr("popdiff.interval.window_checks", lambda *args: None)
+    with pytest.raises(DomainError, match=r"N = 1e\+700 is too large to hold a value vector"):
+        choose_interval_params(10**700, 1e-3, 1e-22, mode="strict", factors=(10**150 + 1,))
 
 
 POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True)
