@@ -268,7 +268,8 @@ def perdiff_table_sparse(spectrum: Spectrum) -> np.ndarray:
     n = spectrum.n
     c = spectrum.coeffs
     supp = spectrum.support
-    third = np.where(np.isin(np.arange(n), supp), c, 0)  # c on S
+    third = np.zeros_like(c)  # c on S
+    third[supp] = c[supp]
     amp = np.zeros(n, dtype=np.complex128)
     step = max(1, _PAIR_BLOCK // max(supp.size, 1))
     for lo in range(0, supp.size, step):

@@ -27,7 +27,7 @@ from .apfree import (  # noqa: F401
 )
 from .aps import ap_sums, within
 from .domains import DensityFn, cyclic
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, check_size
 
 # largest interval bound N that low_ap_density_subset tries; it decides the
 # candidate intervals, so it is part of every lowap artifact
@@ -58,7 +58,7 @@ class LowAPSubset:
 
     def to_dict(self) -> dict:
         return {
-            "elements": [int(v) for v in self.elements],
+            "elements": self.elements.tolist(),
             "n": int(self.n),
             "density": float(self.density),
             "ap_density": float(self.ap_density),
@@ -96,6 +96,7 @@ def low_ap_density_subset(n: int, alpha: float) -> LowAPSubset:
         raise DomainError("the modulus must be odd")
     if not 0 < alpha <= ALPHA0:
         raise DomainError(f"alpha={alpha} out of range (need 0 < alpha <= {ALPHA0})")
+    check_size(n, "n")
     cap = min(max(64, 4 * n), _INTERVAL_CAP)
     sizes = _apfree_sizes_up_to(cap)
     # alpha <= ALPHA0 gives 6*alpha < 1 = r(1), so N = 1 is always a candidate

@@ -28,6 +28,7 @@ from .errors import (
     PopdiffError,
     RegularityError,
     RetriesExhausted,
+    check_size,
 )
 
 EXIT_OK = 0
@@ -93,28 +94,16 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _check_size(size: int, what: str) -> None:
-    """A DomainError naming ``what`` when no float vector of ``size`` entries
-    can be allocated.  bytes(8 * size) is the same lazily zeroed calloc as
-    np.zeros(size), so the probe touches no page and needs no numpy."""
-    try:
-        bytes(8 * size)
-    except (MemoryError, OverflowError) as exc:  # OverflowError: beyond the index range
-        raise DomainError(f"{what} = {size} is too large to hold a value vector") from exc
-
-
 def _construction(args) -> tuple:
     """(params, artifact, certificate body, ok) of one construct kind; the
     artifact is a function file or a set artifact."""
     alpha, n = args.alpha, args.n
     # a size that no vector can hold exits 2 before any primality test or
-    # loop over it; each kind rejects a size below 1 with its own message
+    # loop over it, with the flag's name
     if args.kind == "product":
-        size, what = math.prod(args.factors), "the product of --factors"
+        check_size(math.prod(args.factors), "the product of --factors")
     else:
-        size, what = n, "--n"
-    if size >= 1:
-        _check_size(size, what)
+        check_size(n, "--n")
     if args.kind == "model":
         from .domains import fn_to_dict
         from .modelfn import build_model_fn, model_fn_extra, verify_model_properties

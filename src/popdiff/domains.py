@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FileFormatError
+from .errors import DomainError, FileFormatError, check_size
 
 CYCLIC = "cyclic"
 PRODUCT = "product"
@@ -187,10 +187,8 @@ class APProfile:
         self.densities = np.asarray(self.densities, dtype=np.float64)
 
     def to_csv(self, path) -> None:
-        lines = ["d,density"]
-        for d, val in enumerate(self.densities):
-            lines.append(f"{d},{val:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = "".join("%d,%.12g\n" % row for row in enumerate(self.densities.tolist()))
+        Path(path).write_text("d,density\n" + rows, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,7 @@ def fn_to_dict(f: DensityFn, extra: dict | None = None) -> dict:
     dom = {"kind": f.domain.kind, "n": int(f.domain.n)}
     if f.domain.kind == PRODUCT:
         dom["factors"] = [int(m) for m in f.domain.factors]
-    out = {"domain": dom, "values": [float(v) for v in f.values]}
+    out = {"domain": dom, "values": f.values.tolist()}
     if extra:
         out.update(extra)
     return out
@@ -252,10 +250,8 @@ def set_from_dict(obj: dict) -> DensityFn:
     bad = next((v for v in elements if not lo <= v < lo + size), None)
     if bad is not None:
         raise FileFormatError(f"set element {bad} is outside {lo}..{lo + size - 1} ({key}={size})")
-    try:  # OverflowError, or numpy's ValueError "array is too big": past the index range
-        counts = np.bincount(np.asarray(elements, dtype=np.int64) - lo, minlength=size)
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise DomainError(f"set artifact {key} = {size} is too large to hold a value vector") from exc
+    check_size(size, f"set artifact {key}")
+    counts = np.bincount(np.asarray(elements, dtype=np.int64) - lo, minlength=size)
     if counts.max() > 1:
         raise FileFormatError(f"set element {int(counts.argmax()) + lo} is repeated")
     return DensityFn(cyclic(size) if key == "n" else interval(size), counts.astype(np.float64))

@@ -33,9 +33,8 @@ import numpy as np
 from .aps import EXPLICIT, Verdict, ap_profile, ap_sums, close, within, worst_difference
 from .behrend import ALPHA0, low_ap_density_subset, scaled_indicator
 from .domains import OVER_WINDOW, APProfile, DensityFn, interval, is_prime
-from .errors import DomainError, InfeasibleError, RetriesExhausted
+from .errors import DomainError, InfeasibleError, RetriesExhausted, check_size, exp_text, int_text
 from .product import FeasibilityReport, ProductParams, construct_product, window_checks
-from .product import exp_text, int_text
 
 
 @dataclass
@@ -109,14 +108,11 @@ def choose_interval_params(
         ok = q**5 > n_total and q**2 <= e**2 * a**3 * (1 - e) * n_total
         rep.add("modulus-window", ok, f"q={int_text(q)} outside the modulus window {window}")
         window_checks(rep, alpha / (1 - epsilon**2), 4 * epsilon, fac)
-        rep.raise_if_fatal()
-        raise DomainError(f"N = {int_text(n_total)} is too large to hold a value vector")
-    if n_total < 1000:
+        rep.raise_if_fatal()  # N >= 1e105 > 2^63 / 8 here, so check_size raises in any memory
+    elif n_total < 1000:
         raise InfeasibleError(f"N={n_total} below the desk minimum 1000")
-    try:
-        q_lo, q_hi = 5, n_total**0.8
-    except OverflowError:  # past every float, so no vector holds N either
-        raise DomainError(f"N = {int_text(n_total)} is too large to hold a value vector") from None
+    check_size(n_total, "N")
+    q_lo, q_hi = 5, n_total**0.8
     window = f"({q_lo:.4g}, {q_hi:.4g})"
     beta_cap = max(epsilon**2, 0.25)
     notes = ["desk mode: modulus window widened to [5, N^0.8]"]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import DensityFn, Spectrum, cyclic, is_prime
-from .errors import DomainError
+from .errors import DomainError, check_size
 
 SECOND_MOMENT_FACTOR = 5 / 4
 CUBE_MOMENT_FACTOR = 53 / 32
@@ -60,6 +60,7 @@ def build_model_fn(alpha: float, n: int) -> ModelFn:
         raise DomainError(
             f"alpha={alpha} out of range: the profile peaks at 2*alpha, so alpha <= 1/2"
         )
+    check_size(n, "n")
     if n % 2 == 0 or not is_prime(n):
         raise DomainError(f"model functions live on odd primes, got n={n}")
     if n < MIN_MODEL_PRIME:

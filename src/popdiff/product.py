@@ -39,7 +39,7 @@ import numpy as np
 
 from .aps import Verdict, planned_sums, triple_amplitudes, within, worst_difference
 from .domains import GROUP, APProfile, DensityFn, cyclic, is_prime, product
-from .errors import DomainError, InfeasibleError, RetriesExhausted
+from .errors import DomainError, InfeasibleError, RetriesExhausted, check_size, exp_text, int_text
 from .fourier import idft
 from .modelfn import MIN_MODEL_PRIME, build_model_fn, model_support
 
@@ -100,26 +100,6 @@ class FeasibilityReport:
             raise InfeasibleError("; ".join(bad))
 
 
-def exp_text(log_x: float, spec: str) -> str:
-    """format(exp(log_x), spec) for a "g" spec, also past the float range."""
-    k = math.floor(log_x / math.log(10))
-    k = k - 300 if k > 300 else min(0, k + 300)  # a shift of 10^k leaves a float
-    mant, e, exp10 = format(math.exp(log_x - k * math.log(10)), spec).partition("e")
-    return f"{mant}e{int(exp10) + k:+d}" if k else mant + e + exp10
-
-
-def int_text(k) -> str:
-    """str(k) for an int of at most 40 digits, or a tuple of ints as str prints
-    one; a longer int as exp_text's 6-digit mantissa and exponent, which keeps
-    a detail short and stays defined past str's 4300-digit limit."""
-    if isinstance(k, tuple):
-        inner = ", ".join(map(int_text, k))
-        return f"({inner},)" if len(k) == 1 else f"({inner})"
-    if abs(k) < 10**40:
-        return str(k)
-    return ("-" if k < 0 else "") + exp_text(math.log(abs(k)), ".6g")
-
-
 def feasibility(params: ProductParams) -> FeasibilityReport:
     """Check the construction hypotheses; desk mode waives all but fatal ones.
 
@@ -129,9 +109,11 @@ def feasibility(params: ProductParams) -> FeasibilityReport:
     """
     rep = FeasibilityReport(params.mode)
     fac = params.factors
+    check_size(math.prod(fac), "the product of the factors")
 
     distinct = len(set(fac)) == len(fac)
-    all_prime = all(is_prime(m) and m % 2 == 1 for m in fac)
+    # a factor below 3 fails first, so the product bounds every is_prime argument
+    all_prime = all(m >= 3 and m % 2 == 1 for m in fac) and all(map(is_prime, fac))
     rep.add("factors-odd-distinct-primes", distinct and all_prime, f"factors={int_text(fac)}",
             waivable=False)
     if not (distinct and all_prime):

@@ -7,6 +7,8 @@ import pytest
 
 from popdiff.aps import ap_profile
 from popdiff.domains import (
+    GROUP,
+    APProfile,
     DensityFn,
     DomainDesc,
     Spectrum,
@@ -101,3 +103,14 @@ def test_profile_csv_format(tmp_path):
     assert lines[0] == "d,density"
     assert len(lines) == 6
     assert lines[1] == "0,0.125"
+
+
+def test_profile_csv_bytes_match_per_row_format(tmp_path):
+    # rows are formatted from Python floats; each must read as the f-string of
+    # the numpy scalar did, subnormal and roundoff-tailed values included
+    densities = np.array([0.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2, 1.0])
+    prof = APProfile(densities, GROUP, len(densities), "explicit", "test")
+    path = tmp_path / "p.csv"
+    prof.to_csv(path)
+    rows = "".join(f"{d},{val:.12g}\n" for d, val in enumerate(densities))
+    assert path.read_bytes() == ("d,density\n" + rows).encode()
